@@ -16,7 +16,7 @@ from .density import (DensityVector, density_from_free, density_from_record,
 from .directl import DirectConfig, DirectResult, HyperRect, minimize, \
     select_potentially_optimal, trisect
 from .errors import (DegenerateBatchError, DivergenceError, FormatError,
-                     ShapeError)
+                     SearchDivergedError, ShapeError)
 from .experiments import (DatasetSpec, OuterResult, bench_overhead,
                           build_direct_config, check_symmetry_relaxation,
                           compare_densities, default_alpha_bounds, gen_dataset,

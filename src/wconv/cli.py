@@ -4,8 +4,9 @@ Subcommands: gen-data, train, optimize-density, sweep, compare-densities,
 bench, verify.  All outputs land under --out-dir (or $WCONV_OUT_DIR) as
 CSV/JSON/WCT1 files written atomically; wall-clock timings go to stdout
 only, so files are byte-stable across reruns with the same seeds.  Exit
-codes: 0 success, 1 domain failure (divergence, verification FAIL, bad
-data files), 2 usage or validation error.
+codes: 0 success, 1 domain failure (divergence, a search whose every
+evaluation diverged, verification FAIL, bad data files), 2 usage or
+validation error.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import replace
 
 from .density import (density_from_free, density_from_record,
                       density_matrix, density_record, named_density, FAMILIES)
-from .errors import DivergenceError, FormatError
+from .errors import DivergenceError, FormatError, SearchDivergedError
 from .experiments import (DatasetSpec, OuterResult, bench_overhead,
                           build_direct_config, compare_densities, gen_dataset,
                           optimize_density, split_dataset, sweep_hyperparams)
@@ -420,7 +421,7 @@ def dispatch(argv) -> int:
         config = _load_config(args.config)
         os.makedirs(out_dir, exist_ok=True)
         return _HANDLERS[args.command](args, config, seed, out_dir)
-    except (DivergenceError, FormatError, OSError) as exc:
+    except (DivergenceError, SearchDivergedError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, TypeError) as exc:

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import SearchDivergedError
+
 # Stand-in for +inf in hull/slope arithmetic; large enough to lose against
 # any real objective, small enough that differences stay finite.
 _BIG = 1e100
@@ -222,7 +224,8 @@ def minimize(objective, cfg: DirectConfig, init=None) -> DirectResult:
     and seeds the incumbent.  Terminates when the incumbent has improved
     by less than ``f_tol`` over ``stall_iters`` consecutive iterations, or
     on the evaluation/iteration budgets.  A NaN objective value scores the
-    point +inf and records it in the result.
+    point +inf and records it in the result; if every value is non-finite
+    there is no incumbent and the search raises ``SearchDivergedError``.
     """
     n = cfg.lower.shape[0]
     sampler = _Sampler(objective, cfg.lower, cfg.upper, cfg.max_evals)
@@ -239,14 +242,21 @@ def minimize(objective, cfg: DirectConfig, init=None) -> DirectResult:
 
     trace: list[TraceRow] = []
 
+    def incumbent():
+        # NaN coordinates until some evaluation has been finite.
+        if sampler.best_point is None:
+            return np.full(n, np.nan)
+        return sampler.denorm(sampler.best_point)
+
     def result(iterations):
-        best = sampler.denorm(sampler.best_point)
-        return DirectResult(best, sampler.best_value, sampler.count, iterations,
-                            trace, init_value, sampler.nan_points)
+        if sampler.best_point is None:
+            raise SearchDivergedError(sampler.count)
+        return DirectResult(incumbent(), sampler.best_value, sampler.count,
+                            iterations, trace, init_value, sampler.nan_points)
 
     def record(iteration):
         trace.append(TraceRow(iteration, sampler.count, sampler.best_value,
-                              sampler.denorm(sampler.best_point)))
+                              incumbent()))
 
     if sampler.count >= cfg.max_evals:
         record(0)

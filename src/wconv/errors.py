@@ -20,3 +20,12 @@ class DivergenceError(RuntimeError):
         self.epoch = epoch
         self.step = step
         super().__init__(f"non-finite loss at epoch {epoch}, step {step}")
+
+
+class SearchDivergedError(RuntimeError):
+    """Every objective evaluation of a search was non-finite."""
+
+    def __init__(self, evals: int):
+        self.evals = evals
+        super().__init__(f"all {evals} objective evaluations were non-finite: "
+                         "the whole search diverged")

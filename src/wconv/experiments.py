@@ -97,10 +97,11 @@ def build_direct_config(k: int, max_evals: int = 60, max_iters: int = 40,
                         epsilon=epsilon)
 
 
-def _training_objective(dataset, model_cfg: ModelConfig, k: int):
+def _training_objective(dataset, model_cfg: ModelConfig, k: int, build_phi):
+    """Final training loss as a function of the search point ``theta``,
+    trained with the K x K density ``build_phi(theta)``; NaN on divergence."""
     def objective(theta) -> float:
-        vec = density_from_free(theta, k)
-        cfg = replace(model_cfg, kernel=k, density=density_matrix(vec))
+        cfg = replace(model_cfg, kernel=k, density=build_phi(theta))
         try:
             return sgd_train(dataset, cfg).final_loss
         except DivergenceError:
@@ -127,7 +128,9 @@ def optimize_density(k: int, model_cfg: ModelConfig, direct_cfg: DirectConfig,
             f"direct config has {direct_cfg.lower.shape[0]} dims, "
             f"kernel {k} needs {n_free}"
         )
-    objective = _training_objective(dataset, model_cfg, k)
+    objective = _training_objective(
+        dataset, model_cfg, k,
+        lambda theta: density_matrix(density_from_free(theta, k)))
     res = minimize(objective, direct_cfg, init=np.ones(n_free))
     baseline = res.init_value
     improvement = 1.0 - res.best_value / baseline if baseline > 0 else float("nan")
@@ -190,16 +193,6 @@ def sweep_hyperparams(axis: str, values, dataset_spec: DatasetSpec,
     return rows
 
 
-def _fixed_density_objective(dataset, model_cfg: ModelConfig, k: int, build_phi):
-    def objective(theta) -> float:
-        cfg = replace(model_cfg, kernel=k, density=build_phi(theta))
-        try:
-            return sgd_train(dataset, cfg).final_loss
-        except DivergenceError:
-            return float("nan")
-    return objective
-
-
 def check_symmetry_relaxation(dataset, model_cfg: ModelConfig,
                               direct_opts: dict | None = None) -> dict:
     """Re-run the 3x3 search with the symmetry constraints dropped.
@@ -225,9 +218,9 @@ def check_symmetry_relaxation(dataset, model_cfg: ModelConfig,
                              np.array([theta[1], 1.0, theta[1]]))
 
     init = np.ones(2)
-    res_ends = minimize(_fixed_density_objective(dataset, model_cfg, 3, ends_phi),
+    res_ends = minimize(_training_objective(dataset, model_cfg, 3, ends_phi),
                         two_dim, init=init)
-    res_axes = minimize(_fixed_density_objective(dataset, model_cfg, 3, axes_phi),
+    res_axes = minimize(_training_objective(dataset, model_cfg, 3, axes_phi),
                         two_dim, init=init)
     a1, a3 = res_ends.best_point
     b_a1, b1 = res_axes.best_point

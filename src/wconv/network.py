@@ -129,10 +129,14 @@ class _WeightedConv:
             return conv2d(x, self.kernel, self.stride)
         return conv2d_weighted(x, self.kernel, self.density, self.stride)
 
-    def backward(self, upstream: np.ndarray) -> np.ndarray:
+    def backward(self, upstream: np.ndarray, input_grad: bool = True):
+        """Fill the parameter gradients; return the input gradient only if
+        ``input_grad`` asks for it."""
         g = grad_weights(self._x, self.density, upstream, k=self.kernel.k,
                          stride=self.stride)
         self.grad_w, self.grad_b = g.weights, g.bias
+        if not input_grad:
+            return None
         return grad_input(self.kernel, self.density, upstream,
                           input_hw=self._x.shape[2:], stride=self.stride)
 
@@ -199,13 +203,14 @@ class DenoiseNet:
             h = np.maximum(h, 0.0)
         return h
 
-    def backward(self, upstream: np.ndarray) -> np.ndarray:
-        g = upstream
-        for i, (conv, bn) in zip([2, 1, 0], [(self.conv3, self.bn3),
-                                             (self.conv2, self.bn2),
-                                             (self.conv1, self.bn1)]):
-            g = conv.backward(bn.backward(g * self._masks[i]))
-        return g
+    def backward(self, upstream: np.ndarray) -> None:
+        """Fill every layer's parameter gradients from the loss gradient at
+        the output; returns nothing.  The gradient at the network input is
+        never computed: no caller reads it."""
+        g = self.conv3.backward(self.bn3.backward(upstream * self._masks[2]))
+        g = self.conv2.backward(self.bn2.backward(g * self._masks[1]))
+        self.conv1.backward(self.bn1.backward(g * self._masks[0]),
+                            input_grad=False)
 
     def params(self) -> list[np.ndarray]:
         out = []

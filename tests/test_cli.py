@@ -136,6 +136,18 @@ class TestOptimizeDensity:
         summary = (out / "summary.txt").read_text()
         assert "improvement" in summary and "%" in summary
 
+    def test_all_evaluations_diverged_exits_1(self, tmp_path, capsys):
+        # Every training run blows up at this learning rate, so the search
+        # never has an incumbent; that is a domain failure, not a usage error.
+        with np.errstate(all="ignore"):
+            code, _ = run(tmp_path, "optimize-density", "--kernel", "3",
+                          "--n-images", "4", "--rows", "12", "--cols", "12",
+                          "--epochs", "3", "--lr", "1e200", "--max-evals", "6")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "whole search diverged" in err
+        assert "usage:" not in err
+
     def test_byte_identical_across_runs(self, tmp_path):
         _, a = run(tmp_path, "optimize-density", *MICRO_DATA, *MICRO_MODEL,
                    *MICRO_DIRECT, name="a")

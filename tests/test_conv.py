@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import conv_oracle, fd_gradient, rel_err
+from wconv import conv
 from wconv.conv import (KernelStack, conv2d, conv2d_transposed_weighted,
                         conv2d_weighted, flop_count, grad_density, grad_input,
                         grad_weights, scale_kernel)
@@ -233,6 +234,81 @@ class TestGradDensity:
         w = w + w[..., ::-1, ::-1]
         g = grad_density(x, KernelStack(w), up)
         np.testing.assert_allclose(g, g[::-1, ::-1], rtol=0, atol=1e-10)
+
+
+# (in_channels, filters) pairs that put every kernel on each side of the
+# per-tap mixing choice.  The forward pass contracts in_channels, the
+# transposed pass and the input gradient contract filters, and the weight
+# gradient contracts pixels with filters x in_channels decides:
+#   (1, 3): forward broadcast, transposed einsum, weight gradient einsum
+#   (3, 1): forward einsum, transposed broadcast
+#   (2, 2): einsum everywhere
+#   (4, 3), (3, 4): BLAS matmul everywhere
+#   (1, 8): forward broadcast, transposed and weight gradient matmul
+#   (8, 1): forward and weight gradient matmul, transposed broadcast
+MIXING_CHANNELS = [(1, 3), (3, 1), (2, 2), (4, 3), (3, 4), (1, 8), (8, 1)]
+
+
+class TestChannelMixing:
+    def test_cases_straddle_the_blas_crossover(self):
+        products = [cin * fout for cin, fout in MIXING_CHANNELS
+                    if cin > 1 and fout > 1]
+        assert min(products) < conv._BLAS_MIN_CHANNELS <= max(products)
+
+    @staticmethod
+    def make_case(cin, fout, k, stride, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((2, cin, 7, 6))
+        kernel = KernelStack(rng.standard_normal((fout, cin, k, k)),
+                             rng.standard_normal(fout))
+        phi = rng.uniform(0.1, 2.0, (k, k))
+        up = rng.standard_normal((2, fout, -(-7 // stride), -(-6 // stride)))
+        return x, kernel, phi, up
+
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("cin,fout", MIXING_CHANNELS)
+    def test_forward_matches_oracle(self, cin, fout, stride, k):
+        x, kernel, phi, _ = self.make_case(cin, fout, k, stride, 20)
+        plain = conv2d(x, kernel, stride=stride)
+        assert rel_err(plain, conv_oracle(x, kernel.weights, kernel.bias,
+                                          stride=stride)) < 1e-12
+        weighted = conv2d_weighted(x, kernel, phi, stride=stride)
+        assert rel_err(weighted, conv_oracle(x, kernel.weights, kernel.bias,
+                                             phi, stride=stride)) < 1e-12
+
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("cin,fout", MIXING_CHANNELS)
+    def test_transposed_is_adjoint_of_oracle(self, cin, fout, stride, k):
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal((2, cin, 4 * stride, 3 * stride))
+        kernel = KernelStack(rng.standard_normal((fout, cin, k, k)))
+        phi = rng.uniform(0.1, 2.0, (k, k))
+        y = rng.standard_normal((2, fout, 4, 3))
+        lhs = np.vdot(conv_oracle(x, kernel.weights, None, phi, stride), y)
+        rhs = np.vdot(x, conv2d_transposed_weighted(y, kernel, phi, stride))
+        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("cin,fout", MIXING_CHANNELS)
+    def test_grad_weights_matches_finite_differences(self, cin, fout, stride, k):
+        x, kernel, phi, up = self.make_case(cin, fout, k, stride, 22)
+        analytic = grad_weights(x, phi, up, stride=stride).weights
+        fd = fd_gradient(lambda wv: np.vdot(
+            conv2d_weighted(x, KernelStack(wv), phi, stride), up), kernel.weights)
+        assert rel_err(analytic, fd) < 1e-6
+
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("cin,fout", MIXING_CHANNELS)
+    def test_grad_input_matches_finite_differences(self, cin, fout, stride, k):
+        x, kernel, phi, up = self.make_case(cin, fout, k, stride, 23)
+        analytic = grad_input(kernel, phi, up, input_hw=(7, 6), stride=stride)
+        fd = fd_gradient(lambda xv: np.vdot(
+            conv2d_weighted(xv, kernel, phi, stride), up), x)
+        assert rel_err(analytic, fd) < 1e-6
 
 
 class TestFlopCount:

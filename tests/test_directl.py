@@ -4,6 +4,7 @@ import pytest
 from oracles import potentially_optimal_oracle
 from wconv.directl import (DirectConfig, HyperRect, _Sampler, minimize,
                            select_potentially_optimal, trisect)
+from wconv.errors import SearchDivergedError
 
 
 def make_rect(levels, value, index):
@@ -148,6 +149,24 @@ class TestMinimize:
         assert all(p[0] < 0.3 for p in res.nan_points)
         assert abs(res.best_point[0] - 0.5) < 1e-2
         assert np.isfinite(res.best_value)
+
+    def test_all_nan_objective_raises(self):
+        cfg = DirectConfig(np.array([0.0]), np.array([1.0]), max_evals=7,
+                           max_iters=5)
+        with pytest.raises(SearchDivergedError, match="all 7 objective"):
+            minimize(lambda x: float("nan"), cfg)
+
+    def test_nan_init_leaves_no_incumbent_in_first_trace_row(self):
+        def objective(x):
+            return float("nan") if x[0] == 0.5 else (x[0] - 0.2) ** 2
+
+        cfg = DirectConfig(np.array([0.0]), np.array([1.0]), max_evals=40,
+                           max_iters=10)
+        res = minimize(objective, cfg)
+        assert np.isinf(res.trace[0].best_value)
+        assert np.all(np.isnan(res.trace[0].best_point))
+        assert np.isfinite(res.best_value)
+        assert abs(res.best_point[0] - 0.2) < 5e-2
 
     def test_single_eval_budget_returns_init(self):
         cfg = DirectConfig(np.array([0.0]), np.array([2.0]), max_evals=1)

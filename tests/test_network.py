@@ -173,6 +173,23 @@ class TestModelForward:
             worst = max(worst, np.max(np.abs(g - fd)) / scale)
         assert worst < 1e-4
 
+    def test_backward_skips_the_network_input_gradient(self, monkeypatch):
+        import wconv.network
+        calls = []
+        real = wconv.network.grad_input
+
+        def counted(kernel, *args, **kwargs):
+            calls.append(kernel.in_channels)
+            return real(kernel, *args, **kwargs)
+
+        monkeypatch.setattr(wconv.network, "grad_input", counted)
+        net = DenoiseNet(ModelConfig(channels=3, kernel=3, seed=2))
+        x = np.random.default_rng(6).standard_normal((2, 1, 8, 8))
+        assert net.backward(mse_grad(net.forward(x), np.zeros_like(x))) is None
+        # conv3's input gradient is a strided conv, conv2's goes through
+        # grad_input, conv1's (to the image) is never needed.
+        assert calls == [3]
+
 
 def tiny_dataset(n=4, size=16, sigma=0.05, seed=0):
     rng = np.random.default_rng(seed)
