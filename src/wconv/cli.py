@@ -24,9 +24,10 @@ from dataclasses import replace
 from .density import (density_from_free, density_from_record,
                       density_matrix, density_record, named_density, FAMILIES)
 from .errors import DivergenceError, FormatError, SearchDivergedError
-from .experiments import (DatasetSpec, OuterResult, bench_overhead,
-                          build_direct_config, compare_densities, gen_dataset,
-                          optimize_density, split_dataset, sweep_hyperparams)
+from .experiments import (SWEEP_AXES, DatasetSpec, OuterResult,
+                          bench_overhead, build_direct_config,
+                          compare_densities, gen_dataset, optimize_density,
+                          split_dataset, sweep_hyperparams)
 from .network import ModelConfig, sgd_train
 from .spectral import run_verification
 from .tensors import tensor_read, tensor_write
@@ -124,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output directory (default: $WCONV_OUT_DIR or ./wconv-out)")
     parser.add_argument("--config", default=None, help="JSON config file")
     parser.add_argument("--threads", type=int, default=1,
-                        help="parallelism cap; 1 guarantees bit-stable output")
+                        help="accepted but unused: every command runs in one "
+                             "Python thread")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_dataset_flags(p):
@@ -172,8 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_dataset_flags(p)
     add_model_flags(p)
     add_direct_flags(p)
-    p.add_argument("--axis", required=True,
-                   choices=("stride", "epochs", "n_images", "image_size", "channels"))
+    p.add_argument("--axis", required=True, choices=SWEEP_AXES)
     p.add_argument("--values", required=True, type=_int_list)
 
     p = sub.add_parser("compare-densities", help="train once per density family")
@@ -203,18 +204,56 @@ def _merge(section: dict, **flags) -> dict:
     return merged
 
 
+_INT, _NUMBER = (int,), (int, float)
+# The keys each config section may hold and the types of their values, as
+# _dataset_spec, _model_cfg, _direct_opts and density_from_record read them.
+# There is no seed key: --seed (default 0) seeds the data and the model.
+_CONFIG_KEYS = {
+    "dataset": {"n_images": _INT, "rows": _INT, "cols": _INT,
+                "noise_sigma": _NUMBER, "smoothness": _NUMBER},
+    "model": {"channels": _INT, "stride": _INT, "kernel": _INT, "epochs": _INT,
+              "learning_rate": _NUMBER, "batch_size": (int, type(None)),
+              "bn_eps": _NUMBER},
+    "direct": {"max_evals": _INT, "max_iters": _INT, "f_tol": _NUMBER,
+               "epsilon": _NUMBER, "alpha_lo": _NUMBER, "alpha_hi": _NUMBER,
+               "bounds": (list,)},
+    "density": {"K": _INT, "M": _NUMBER, "values": (list,)},
+}
+
+
+def _check_config(config) -> None:
+    """Reject a section or key that nothing reads, or a value of the wrong type."""
+    if not isinstance(config, dict):
+        raise ValueError("config must be a JSON object")
+    for name, section in config.items():
+        if name not in _CONFIG_KEYS:
+            raise ValueError(f"unknown config section {name!r}, expected one of "
+                             f"{sorted(_CONFIG_KEYS)}")
+        if not isinstance(section, dict):
+            raise ValueError(f"config section {name!r} must be a JSON object")
+        for key, value in section.items():
+            types = _CONFIG_KEYS[name].get(key)
+            if types is None:
+                raise ValueError(f"unknown key {key!r} in config section {name!r}, "
+                                 f"expected one of {sorted(_CONFIG_KEYS[name])}")
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ValueError(f"config value {name}.{key} = {value!r} "
+                                 "has the wrong type")
+
+
 def _load_config(path) -> dict:
     if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        config = json.load(fh)
+    _check_config(config)
+    return config
 
 
 def _dataset_spec(args, config, seed) -> DatasetSpec:
     section = _merge(config.get("dataset", {}), n_images=args.n_images,
                      rows=args.rows, cols=args.cols, noise_sigma=args.noise_sigma,
                      smoothness=args.smoothness, seed=seed)
-    section.setdefault("seed", 0)
     return DatasetSpec(**section)
 
 
@@ -222,8 +261,6 @@ def _model_cfg(args, config, seed, density=None) -> ModelConfig:
     section = _merge(config.get("model", {}), channels=args.channels,
                      stride=args.stride, kernel=args.kernel, epochs=args.epochs,
                      learning_rate=args.lr, batch_size=args.batch_size, seed=seed)
-    section.setdefault("seed", 0)
-    section.pop("density", None)
     return ModelConfig(density=density, **section)
 
 
@@ -424,7 +461,7 @@ def dispatch(argv) -> int:
     except (DivergenceError, SearchDivergedError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 2

@@ -272,23 +272,19 @@ def grad_input(kernel: KernelStack, density, upstream, input_hw=None,
 
 
 def grad_density(x, kernel: KernelStack, upstream, stride: int = 1) -> np.ndarray:
-    """Loss gradient with respect to the K x K density matrix (diagnostic)."""
+    """Loss gradient with respect to the K x K density matrix (diagnostic).
+
+    Each tap's density value scales that tap's weights, so its gradient is
+    the unweighted weight gradient times the weights, summed over filters
+    and channels.
+    """
     x = _check_input(x, kernel, stride)
     upstream = np.asarray(upstream, dtype=np.float64)
-    k = kernel.k
     bsz, _, rows, cols = x.shape
-    ro = -(-rows // stride)
-    co = -(-cols // stride)
-    if upstream.shape != (bsz, kernel.filters, ro, co):
+    if upstream.shape != (bsz, kernel.filters, -(-rows // stride), -(-cols // stride)):
         raise ShapeError(f"upstream shape {upstream.shape} inconsistent with forward pass")
-    pad = k // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    gd = np.zeros((k, k))
-    for a in range(k):
-        for b in range(k):
-            g = _mix_grad(upstream, _window(xp, a, b, stride, ro, co))
-            gd[a, b] = float(np.sum(g * kernel.weights[:, :, a, b]))
-    return gd
+    gw = grad_weights(x, None, upstream, kernel.k, stride).weights
+    return np.sum(gw * kernel.weights, axis=(0, 1))
 
 
 def flop_count(rows: int, cols: int, filters: int, k: int, weighted: bool) -> int:

@@ -14,6 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 FAMILIES = ("uniform", "linear", "gaussian", "cubic")
+# Shape parameters of the linear and gaussian families.
+LINEAR_SLOPE = 0.3
+GAUSSIAN_SIGMA = 1.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,8 +49,8 @@ class DensityVector:
         return (self.k - 1) // 2
 
 
-def density_from_free(theta, k: int, center_value: float = 1.0) -> DensityVector:
-    """Build the symmetric vector [theta, center, reversed(theta)].
+def density_from_free(theta, k: int) -> DensityVector:
+    """Build the symmetric vector [theta, 1, reversed(theta)].
 
     ``theta`` lists the (k - 1) / 2 independent coefficients, outermost
     offset first.
@@ -60,15 +63,8 @@ def density_from_free(theta, k: int, center_value: float = 1.0) -> DensityVector
             f"expected {(k - 1) // 2} free coefficients for extent {k}, "
             f"got shape {theta.shape}"
         )
-    vals = np.concatenate([theta, [center_value], theta[::-1]])
-    return DensityVector(vals, center_value)
-
-
-def free_from_density(vec) -> np.ndarray:
-    """Independent coefficients of a density vector; inverse of density_from_free."""
-    if not isinstance(vec, DensityVector):
-        vec = DensityVector(np.asarray(vec, dtype=np.float64))
-    return vec.values[: vec.free_count].copy()
+    vals = np.concatenate([theta, [1.0], theta[::-1]])
+    return DensityVector(vals)
 
 
 def density_matrix(vec) -> np.ndarray:
@@ -77,20 +73,11 @@ def density_matrix(vec) -> np.ndarray:
     return np.outer(vals, vals)
 
 
-def outer_density(row_vals, col_vals) -> np.ndarray:
-    """Outer product of two per-axis scale vectors; no symmetry imposed."""
-    row_vals = np.asarray(row_vals, dtype=np.float64)
-    col_vals = np.asarray(col_vals, dtype=np.float64)
-    if row_vals.shape != col_vals.shape or row_vals.ndim != 1:
-        raise ValueError("scale vectors must be 1-D and equal length")
-    return np.outer(row_vals, col_vals)
-
-
-def named_density(family: str, k: int, slope: float = 0.3, sigma: float = 1.5) -> DensityVector:
+def named_density(family: str, k: int) -> DensityVector:
     """One of the standard comparison families, centre pinned to 1.
 
-    uniform: all ones.  linear: 1 - slope * |offset|, clamped at 0.
-    gaussian: exp(-offset^2 / (2 sigma^2)).  cubic: 1 - |offset / m|^3
+    uniform: all ones.  linear: 1 - LINEAR_SLOPE * |offset|, clamped at 0.
+    gaussian: exp(-offset^2 / (2 GAUSSIAN_SIGMA^2)).  cubic: 1 - |offset / m|^3
     with m = (k + 1) / 2, clamped at 0.
     """
     if family not in FAMILIES:
@@ -101,13 +88,9 @@ def named_density(family: str, k: int, slope: float = 0.3, sigma: float = 1.5) -
     if family == "uniform":
         vals = np.ones(k)
     elif family == "linear":
-        if slope < 0:
-            raise ValueError("linear slope must be non-negative")
-        vals = np.maximum(1.0 - slope * offsets, 0.0)
+        vals = np.maximum(1.0 - LINEAR_SLOPE * offsets, 0.0)
     elif family == "gaussian":
-        if sigma <= 0:
-            raise ValueError("gaussian sigma must be positive")
-        vals = np.exp(-(offsets**2) / (2.0 * sigma**2))
+        vals = np.exp(-(offsets**2) / (2.0 * GAUSSIAN_SIGMA**2))
     else:
         m = (k + 1) / 2.0
         vals = np.maximum(1.0 - (offsets / m) ** 3, 0.0)

@@ -22,6 +22,10 @@ from .errors import SearchDivergedError
 # any real objective, small enough that differences stay finite.
 _BIG = 1e100
 
+# Consecutive iterations without an f_tol improvement after which the
+# search stops.
+STALL_ITERS = 50
+
 
 @dataclass
 class HyperRect:
@@ -37,10 +41,6 @@ class HyperRect:
         """Longest side length, 3^-min(levels)."""
         return 3.0 ** -int(self.levels.min())
 
-    @property
-    def volume(self) -> float:
-        return float(np.prod(3.0 ** -self.levels.astype(np.float64)))
-
 
 @dataclass(frozen=True)
 class DirectConfig:
@@ -50,7 +50,6 @@ class DirectConfig:
     max_evals: int = 2000
     max_iters: int = 500
     epsilon: float = 1e-4
-    stall_iters: int = 50
 
     def __post_init__(self):
         lo = np.atleast_1d(np.asarray(self.lower, dtype=np.float64))
@@ -156,13 +155,12 @@ def select_potentially_optimal(rects, epsilon: float = 1e-4,
 
 
 class _Sampler:
-    """Evaluates normalized points, tracking budget, incumbent and trace flags."""
+    """Evaluates normalized points, tracking count, incumbent and NaN points."""
 
-    def __init__(self, objective, lower, upper, max_evals):
+    def __init__(self, objective, lower, upper):
         self.objective = objective
         self.lower = lower
         self.span = upper - lower
-        self.max_evals = max_evals
         self.count = 0
         self.best_value = np.inf
         self.best_point = None
@@ -222,13 +220,13 @@ def minimize(objective, cfg: DirectConfig, init=None) -> DirectResult:
 
     The ``init`` point (defaulting to the box centre) is evaluated first
     and seeds the incumbent.  Terminates when the incumbent has improved
-    by less than ``f_tol`` over ``stall_iters`` consecutive iterations, or
+    by less than ``f_tol`` over ``STALL_ITERS`` consecutive iterations, or
     on the evaluation/iteration budgets.  A NaN objective value scores the
     point +inf and records it in the result; if every value is non-finite
     there is no incumbent and the search raises ``SearchDivergedError``.
     """
     n = cfg.lower.shape[0]
-    sampler = _Sampler(objective, cfg.lower, cfg.upper, cfg.max_evals)
+    sampler = _Sampler(objective, cfg.lower, cfg.upper)
     if init is None:
         init_n = np.full(n, 0.5)
     else:
@@ -289,7 +287,7 @@ def minimize(objective, cfg: DirectConfig, init=None) -> DirectResult:
             stall = 0
         else:
             stall += 1
-        if stall >= cfg.stall_iters:
+        if stall >= STALL_ITERS:
             break
         if not split_any:
             break

@@ -16,7 +16,7 @@ import numpy as np
 
 from .conv import KernelStack, conv2d, conv2d_weighted, scale_kernel
 from .density import (DensityVector, density_from_free, density_matrix,
-                      named_density, outer_density)
+                      named_density)
 from .directl import DirectConfig, TraceRow, minimize
 from .errors import DivergenceError
 from .network import ModelConfig, mse_loss, sgd_train
@@ -97,11 +97,12 @@ def build_direct_config(k: int, max_evals: int = 60, max_iters: int = 40,
                         epsilon=epsilon)
 
 
-def _training_objective(dataset, model_cfg: ModelConfig, k: int, build_phi):
-    """Final training loss as a function of the search point ``theta``,
-    trained with the K x K density ``build_phi(theta)``; NaN on divergence."""
+def _training_objective(dataset, model_cfg: ModelConfig, k: int):
+    """Final training loss as a function of the free density coefficients
+    ``theta``; NaN on divergence."""
     def objective(theta) -> float:
-        cfg = replace(model_cfg, kernel=k, density=build_phi(theta))
+        phi = density_matrix(density_from_free(theta, k))
+        cfg = replace(model_cfg, kernel=k, density=phi)
         try:
             return sgd_train(dataset, cfg).final_loss
         except DivergenceError:
@@ -128,9 +129,7 @@ def optimize_density(k: int, model_cfg: ModelConfig, direct_cfg: DirectConfig,
             f"direct config has {direct_cfg.lower.shape[0]} dims, "
             f"kernel {k} needs {n_free}"
         )
-    objective = _training_objective(
-        dataset, model_cfg, k,
-        lambda theta: density_matrix(density_from_free(theta, k)))
+    objective = _training_objective(dataset, model_cfg, k)
     res = minimize(objective, direct_cfg, init=np.ones(n_free))
     baseline = res.init_value
     improvement = 1.0 - res.best_value / baseline if baseline > 0 else float("nan")
@@ -191,45 +190,6 @@ def sweep_hyperparams(axis: str, values, dataset_spec: DatasetSpec,
         except Exception as exc:  # noqa: BLE001 - sweep must survive bad rows
             rows.append(_outer_row(axis, value, None, error=str(exc)))
     return rows
-
-
-def check_symmetry_relaxation(dataset, model_cfg: ModelConfig,
-                              direct_opts: dict | None = None) -> dict:
-    """Re-run the 3x3 search with the symmetry constraints dropped.
-
-    First run: independent end values on the shared per-axis vector,
-    [a1, 1, a3].  Second run: mirror-symmetric but independent row/column
-    vectors, [a1, 1, a1] x [b1, 1, b1].  Reports all four optimized
-    values and the two gaps, which stay small when the symmetric optimum
-    is genuine.
-    """
-    direct_opts = direct_opts or {}
-    cfg = build_direct_config(3, **direct_opts)
-    two_dim = DirectConfig(
-        np.full(2, cfg.lower[0]), np.full(2, cfg.upper[0]), f_tol=cfg.f_tol,
-        max_evals=cfg.max_evals, max_iters=cfg.max_iters, epsilon=cfg.epsilon)
-
-    def ends_phi(theta):
-        vec = np.array([theta[0], 1.0, theta[1]])
-        return outer_density(vec, vec)
-
-    def axes_phi(theta):
-        return outer_density(np.array([theta[0], 1.0, theta[0]]),
-                             np.array([theta[1], 1.0, theta[1]]))
-
-    init = np.ones(2)
-    res_ends = minimize(_training_objective(dataset, model_cfg, 3, ends_phi),
-                        two_dim, init=init)
-    res_axes = minimize(_training_objective(dataset, model_cfg, 3, axes_phi),
-                        two_dim, init=init)
-    a1, a3 = res_ends.best_point
-    b_a1, b1 = res_axes.best_point
-    return {
-        "alpha_1": float(a1), "alpha_3": float(a3),
-        "end_gap": float(abs(a1 - a3)), "end_objective": res_ends.best_value,
-        "row_alpha_1": float(b_a1), "col_beta_1": float(b1),
-        "axis_gap": float(abs(b_a1 - b1)), "axis_objective": res_axes.best_value,
-    }
 
 
 def split_dataset(dataset, holdout_fraction: float = 0.2, seed: int = 0):

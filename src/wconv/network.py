@@ -63,10 +63,6 @@ def kaiming_init(shape, fan_in: int, seed) -> np.ndarray:
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
 
 
-def relu(x) -> np.ndarray:
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
-
-
 def mse_loss(pred, target) -> float:
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
@@ -254,6 +250,10 @@ def _stack_pairs(dataset):
     return noisy[:, None, :, :], clean[:, None, :, :]
 
 
+# A diverging run overflows to inf and NaN inside a step; the non-finite
+# loss checks report the divergence, so numpy's warnings would only repeat
+# it from internal lines.
+@np.errstate(over="ignore", invalid="ignore")
 def sgd_train(dataset, cfg: ModelConfig) -> TrainReport:
     """Train the model on (noisy, clean) pairs; deterministic per seed.
 

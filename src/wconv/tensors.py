@@ -1,4 +1,4 @@
-"""Dense float64 tensors, small matrix kernels, and the WCT1 binary format.
+"""Dense float64 tensors and the WCT1 binary format.
 
 Arrays are plain numpy ndarrays in row-major (batch, channel, row, col)
 layout, rank capped at 4.  The WCT1 file layout is: 4-byte magic ``WCT1``,
@@ -26,49 +26,6 @@ def as_tensor(data) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("tensor entries must be finite")
     return arr
-
-
-def _check_same_shape(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-
-
-def frobenius_inner(a, b) -> float:
-    """Sum of the elementwise product of two equal-shape matrices."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    _check_same_shape(a, b)
-    return float(np.sum(a * b))
-
-
-def hadamard(a, b) -> np.ndarray:
-    """Elementwise product of two equal-shape matrices."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    _check_same_shape(a, b)
-    return a * b
-
-
-def neighborhood(image, i: int, j: int, k: int) -> np.ndarray:
-    """K x K window of a 2-D image centred at (i, j).
-
-    Entries that fall outside the image are exactly zero.  ``k`` must be
-    odd; the centre must lie inside the image.
-    """
-    img = np.asarray(image, dtype=np.float64)
-    if img.ndim != 2:
-        raise ShapeError(f"expected a 2-D image, got rank {img.ndim}")
-    if k < 1 or k % 2 == 0:
-        raise ValueError(f"window extent must be odd and positive, got {k}")
-    rows, cols = img.shape
-    if not (0 <= i < rows and 0 <= j < cols):
-        raise IndexError(f"centre ({i}, {j}) outside {rows}x{cols} image")
-    half = k // 2
-    patch = np.zeros((k, k))
-    r0, r1 = max(0, i - half), min(rows, i + half + 1)
-    c0, c1 = max(0, j - half), min(cols, j + half + 1)
-    patch[r0 - i + half:r1 - i + half, c0 - j + half:c1 - j + half] = img[r0:r1, c0:c1]
-    return patch
 
 
 def tensor_write(tensor, path) -> None:

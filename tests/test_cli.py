@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +47,15 @@ class TestUsageErrors:
 
     def test_threads_must_be_positive(self, tmp_path):
         assert dispatch(["--threads", "0", "verify"]) == 2
+
+    def test_internal_type_error_is_not_a_usage_error(self, tmp_path,
+                                                      monkeypatch):
+        def broken(*args):
+            raise TypeError("internal bug")
+
+        monkeypatch.setitem(cli._HANDLERS, "verify", broken)
+        with pytest.raises(TypeError, match="internal bug"):
+            run(tmp_path, "verify")
 
 
 class TestGenData:
@@ -139,7 +149,9 @@ class TestOptimizeDensity:
     def test_all_evaluations_diverged_exits_1(self, tmp_path, capsys):
         # Every training run blows up at this learning rate, so the search
         # never has an incumbent; that is a domain failure, not a usage error.
-        with np.errstate(all="ignore"):
+        # The overflow along the way raises no numpy warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code, _ = run(tmp_path, "optimize-density", "--kernel", "3",
                           "--n-images", "4", "--rows", "12", "--cols", "12",
                           "--epochs", "3", "--lr", "1e200", "--max-evals", "6")
@@ -224,6 +236,28 @@ class TestConfigFile:
             row = next(csv.DictReader(fh))
         assert row["epochs"] == "2"
         assert row["channels"] == "2"
+
+    @pytest.mark.parametrize("config, named", [
+        ({"model": {"chanels": 2}}, "'chanels'"),
+        ({"modle": {"channels": 2}}, "'modle'"),
+        ({"model": {"density": [[1.0]]}}, "'density'"),
+        ({"dataset": {"seed": 3}}, "'seed'"),
+        ({"model": {"channels": "2"}}, "model.channels"),
+        ({"dataset": {"n_images": 2.5}}, "dataset.n_images"),
+        ({"direct": {"f_tol": True}}, "direct.f_tol"),
+        ({"density": {"K": 3, "valeus": [1.0, 1.0, 1.0]}}, "'valeus'"),
+        ({"dataset": [4]}, "'dataset'"),
+        ([], "JSON object"),
+    ])
+    def test_bad_config_is_a_usage_error(self, tmp_path, capsys, config, named):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(config))
+        code, _ = run(tmp_path, "--config", str(cfg_file), "train",
+                      *MICRO_DATA, *MICRO_MODEL)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert named in err
+        assert "usage:" in err
 
 
 class TestOutDirDiscipline:

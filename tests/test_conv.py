@@ -235,6 +235,12 @@ class TestGradDensity:
         g = grad_density(x, KernelStack(w), up)
         np.testing.assert_allclose(g, g[::-1, ::-1], rtol=0, atol=1e-10)
 
+    def test_upstream_filter_count_must_match_kernel(self):
+        # One upstream filter would broadcast against two kernel filters.
+        kernel = KernelStack(np.ones((2, 1, 3, 3)))
+        with pytest.raises(ShapeError):
+            grad_density(np.ones((1, 1, 4, 4)), kernel, np.ones((1, 1, 4, 4)))
+
 
 # (in_channels, filters) pairs that put every kernel on each side of the
 # per-tap mixing choice.  The forward pass contracts in_channels, the

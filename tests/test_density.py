@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from wconv.density import (DensityVector, density_from_free,
                            density_from_record, density_matrix,
-                           density_record, free_from_density, named_density,
-                           outer_density)
+                           density_record, named_density)
 
 
 class TestDensityVector:
@@ -44,22 +43,12 @@ class TestFromFree:
         with pytest.raises(ValueError):
             density_from_free([0.1, 0.2], 3)
 
-    def test_inverse_of_free_from_density(self):
-        np.testing.assert_array_equal(free_from_density(density_from_free([0.42], 3)),
-                                      [0.42])
-        np.testing.assert_array_equal(
-            free_from_density(DensityVector(np.ones(5))), [1.0, 1.0])
-
     @given(st.integers(0, 2**32 - 1), st.sampled_from([3, 5, 7, 9]))
     @settings(max_examples=100, deadline=None)
     def test_round_trip_exact(self, seed, k):
         theta = np.random.default_rng(seed).uniform(0.0, 4.0, (k - 1) // 2)
-        back = free_from_density(density_from_free(theta, k))
-        assert np.array_equal(back, theta)
-
-    def test_asymmetric_input_rejected(self):
-        with pytest.raises(ValueError):
-            free_from_density(np.array([0.3, 1.0, 0.4]))
+        vec = density_from_free(theta, k)
+        assert np.array_equal(vec.values[:vec.free_count], theta)
 
 
 class TestDensityMatrix:
@@ -118,19 +107,14 @@ class TestNamedDensity:
             assert np.all(np.diff(half) < 0)
 
     def test_linear_clamped_non_negative(self):
-        vals = named_density("linear", 9, slope=0.4).values
+        # the default slope 0.3 reaches 1 - 0.3 * 4 < 0 at the outermost offset
+        vals = named_density("linear", 9).values
         assert np.all(vals >= 0)
         assert vals[0] == 0.0
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             named_density("quartic", 3)
-
-    def test_bad_params(self):
-        with pytest.raises(ValueError):
-            named_density("gaussian", 3, sigma=0.0)
-        with pytest.raises(ValueError):
-            named_density("linear", 3, slope=-0.1)
 
 
 class TestSerialization:
@@ -144,14 +128,3 @@ class TestSerialization:
     def test_record_k_mismatch(self):
         with pytest.raises(ValueError):
             density_from_record({"K": 5, "M": 1.0, "values": [0.4, 1.0, 0.4]})
-
-
-class TestOuterDensity:
-    def test_general_outer_product(self):
-        phi = outer_density([0.5, 1.0, 0.2], [1.5, 1.0, 0.7])
-        assert phi[0, 2] == pytest.approx(0.35)
-        assert phi.shape == (3, 3)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            outer_density([1.0, 1.0], [1.0, 1.0, 1.0])

@@ -48,7 +48,7 @@ class TestSelectPotentiallyOptimal:
 
 class TestTrisect:
     def test_unit_interval_three_cells(self):
-        sampler = _Sampler(lambda x: float(x[0]), np.zeros(1), np.ones(1), 100)
+        sampler = _Sampler(lambda x: float(x[0]), np.zeros(1), np.ones(1))
         root = HyperRect(np.array([0.5]), np.zeros(1, dtype=np.int64), 0.5, 0)
         children, _ = trisect(root, sampler, 1)
         assert sampler.count == 2
@@ -62,19 +62,22 @@ class TestTrisect:
         for levels in ([0, 0], [0, 1], [1, 1, 1]):
             n = len(levels)
             sampler = _Sampler(lambda x: float(np.sum(x)), np.zeros(n),
-                               np.ones(n), 1000)
+                               np.ones(n))
             rect = HyperRect(np.full(n, 0.5), np.asarray(levels, np.int64), 0.0, 0)
             n_longest = sum(1 for v in levels if v == min(levels))
             trisect(rect, sampler, 1)
             assert sampler.count == 2 * n_longest
 
     def test_children_partition_parent_volume(self):
+        def volume(r):
+            return float(np.prod(3.0 ** -r.levels.astype(np.float64)))
+
         sampler = _Sampler(lambda x: float(np.sum(x**2)), np.zeros(2),
-                           np.ones(2), 1000)
+                           np.ones(2))
         rect = HyperRect(np.full(2, 0.5), np.ones(2, dtype=np.int64), 0.0, 0)
-        parent_volume = rect.volume
+        parent_volume = volume(rect)
         children, _ = trisect(rect, sampler, 1)
-        total = rect.volume + sum(c.volume for c in children)
+        total = volume(rect) + sum(volume(c) for c in children)
         assert abs(total - parent_volume) < 1e-12 * parent_volume
 
 
@@ -104,6 +107,15 @@ class TestMinimize:
         res = minimize(lambda x: 5.0, cfg)
         assert res.iterations == 20
         assert res.best_value == 5.0
+
+    def test_constant_objective_stops_after_50_stalled_iterations(self):
+        # No iteration improves the incumbent, and both budgets are out of
+        # reach, so only the stall rule can end the search.
+        cfg = DirectConfig(np.array([0.0]), np.array([1.0]), max_evals=10_000,
+                           max_iters=100)
+        res = minimize(lambda x: 5.0, cfg)
+        assert res.iterations == 50
+        assert res.eval_count < 10_000
 
     def test_deterministic_trace(self):
         cfg = DirectConfig(np.zeros(2), np.full(2, 4.0), max_evals=300,

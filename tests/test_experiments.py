@@ -5,9 +5,9 @@ import wconv.experiments as experiments
 from wconv.density import DensityVector
 from wconv.errors import DivergenceError
 from wconv.experiments import (DatasetSpec, bench_overhead,
-                               build_direct_config, check_symmetry_relaxation,
-                               compare_densities, default_alpha_bounds,
-                               gen_dataset, optimize_density, split_dataset,
+                               build_direct_config, compare_densities,
+                               default_alpha_bounds, gen_dataset,
+                               optimize_density, split_dataset,
                                sweep_hyperparams)
 from wconv.network import ModelConfig, sgd_train
 from dataclasses import replace
@@ -192,35 +192,3 @@ class TestBenchOverhead:
     def test_too_few_repeats_rejected(self):
         with pytest.raises(ValueError):
             bench_overhead((3,), (1,), (1, 1, 32, 32), repeats=5)
-
-
-class TestSymmetryRelaxation:
-    def test_report_contains_all_four_values(self):
-        data = gen_dataset(TINY_SPEC)
-        rep = check_symmetry_relaxation(data, TINY_MODEL,
-                                        direct_opts=dict(max_evals=7, max_iters=5))
-        for key in ("alpha_1", "alpha_3", "row_alpha_1", "col_beta_1",
-                    "end_gap", "axis_gap"):
-            assert key in rep
-        assert rep["end_gap"] == abs(rep["alpha_1"] - rep["alpha_3"])
-        assert rep["axis_gap"] == abs(rep["row_alpha_1"] - rep["col_beta_1"])
-
-    def test_single_eval_keeps_symmetric_init(self):
-        data = gen_dataset(TINY_SPEC)
-        rep = check_symmetry_relaxation(data, TINY_MODEL,
-                                        direct_opts=dict(max_evals=1, max_iters=1))
-        assert rep["end_gap"] == 0.0
-        assert rep["axis_gap"] == 0.0
-
-    @pytest.mark.slow
-    def test_desk_scale_gaps_stay_small(self):
-        # converged desk-scale training; the relaxed optima drift from the
-        # diagonal by well under the box width
-        data = gen_dataset(DatasetSpec(n_images=12, rows=32, cols=32,
-                                       noise_sigma=0.1, seed=0))
-        cfg = ModelConfig(channels=2, kernel=3, epochs=40, seed=0, batch_size=2)
-        rep = check_symmetry_relaxation(data, cfg,
-                                        direct_opts=dict(max_evals=80,
-                                                         max_iters=40))
-        assert rep["end_gap"] < 0.15
-        assert rep["axis_gap"] < 0.25

@@ -5,7 +5,7 @@ from oracles import fd_gradient, rel_err
 from wconv.density import density_matrix, named_density
 from wconv.errors import DegenerateBatchError, DivergenceError, ShapeError
 from wconv.network import (BatchNorm2d, DenoiseNet, ModelConfig, kaiming_init,
-                           mse_grad, mse_loss, relu, sgd_train)
+                           mse_grad, mse_loss, sgd_train)
 
 
 class TestKaimingInit:
@@ -28,24 +28,6 @@ class TestKaimingInit:
     def test_zero_fan_in_rejected(self):
         with pytest.raises(ValueError):
             kaiming_init((3, 3), fan_in=0, seed=0)
-
-
-class TestRelu:
-    def test_clamps_negative(self):
-        np.testing.assert_array_equal(relu(np.array([-1.0, 0.0, 2.0])),
-                                      [0.0, 0.0, 2.0])
-
-    def test_non_negative_unchanged(self):
-        x = np.array([0.0, 0.5, 3.0])
-        np.testing.assert_array_equal(relu(x), x)
-
-    def test_derivative_is_sign_mask_away_from_zero(self):
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal(50)
-        x = x[np.abs(x) > 1e-3]
-        h = 1e-6
-        fd = (relu(x + h) - relu(x - h)) / (2 * h)
-        np.testing.assert_allclose(fd, (x > 0).astype(float), rtol=0, atol=1e-9)
 
 
 class TestBatchNorm:

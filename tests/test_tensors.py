@@ -1,110 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from wconv.errors import FormatError, ShapeError
-from wconv.tensors import (frobenius_inner, hadamard, neighborhood,
-                           tensor_read, tensor_write)
-
-
-def _loop_frobenius(a, b):
-    total = 0.0
-    for i in range(a.shape[0]):
-        for j in range(a.shape[1]):
-            total += a[i, j] * b[i, j]
-    return total
-
-
-class TestFrobeniusInner:
-    def test_identity_pair(self):
-        eye = np.eye(2)
-        assert frobenius_inner(eye, eye) == 2.0
-
-    def test_picks_out_diagonal(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert frobenius_inner(a, np.eye(2)) == 5.0
-
-    def test_matches_nested_loop_oracle(self):
-        rng = np.random.default_rng(11)
-        a = rng.standard_normal((5, 5))
-        b = rng.standard_normal((5, 5))
-        assert abs(frobenius_inner(a, b) - _loop_frobenius(a, b)) < 1e-12
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_symmetric_in_arguments(self, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((4, 3))
-        b = rng.standard_normal((4, 3))
-        assert frobenius_inner(a, b) == frobenius_inner(b, a)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            frobenius_inner(np.ones((2, 2)), np.ones((2, 3)))
-
-
-class TestHadamard:
-    def test_ones_is_identity(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((3, 3))
-        np.testing.assert_array_equal(hadamard(a, np.ones((3, 3))), a)
-
-    def test_small_example(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.full((2, 2), 2.0)
-        np.testing.assert_array_equal(hadamard(a, b),
-                                      np.array([[2.0, 4.0], [6.0, 8.0]]))
-
-    def test_sum_equals_frobenius(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((7, 7))
-        b = rng.standard_normal((7, 7))
-        assert abs(np.sum(hadamard(a, b)) - frobenius_inner(a, b)) < 1e-12
-
-    def test_commutative_and_associative(self):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            a, b, c = rng.standard_normal((3, 4, 4))
-            np.testing.assert_array_equal(hadamard(a, b), hadamard(b, a))
-            np.testing.assert_allclose(hadamard(hadamard(a, b), c),
-                                       hadamard(a, hadamard(b, c)),
-                                       rtol=0, atol=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            hadamard(np.ones((2, 2)), np.ones(4))
-
-
-class TestNeighborhood:
-    def test_single_pixel_image(self):
-        patch = neighborhood(np.array([[5.0]]), 0, 0, 3)
-        expected = np.zeros((3, 3))
-        expected[1, 1] = 5.0
-        np.testing.assert_array_equal(patch, expected)
-
-    def test_interior_is_exact_submatrix(self):
-        img = np.arange(25, dtype=float).reshape(5, 5)
-        np.testing.assert_array_equal(neighborhood(img, 2, 2, 3), img[1:4, 1:4])
-
-    def test_corner_zero_fill(self):
-        rng = np.random.default_rng(2)
-        img = rng.standard_normal((4, 4))
-        patch = neighborhood(img, 0, 0, 3)
-        # index arithmetic: patch[a, b] = img[a - 1, b - 1] where in range
-        for a in range(3):
-            for b in range(3):
-                r, c = a - 1, b - 1
-                want = img[r, c] if (0 <= r < 4 and 0 <= c < 4) else 0.0
-                assert patch[a, b] == want
-
-    def test_even_extent_rejected(self):
-        with pytest.raises(ValueError):
-            neighborhood(np.ones((4, 4)), 1, 1, 2)
-
-    def test_out_of_range_centre(self):
-        with pytest.raises(IndexError):
-            neighborhood(np.ones((4, 4)), 4, 0, 3)
+from wconv.errors import FormatError
+from wconv.tensors import tensor_read, tensor_write
 
 
 class TestTensorFileFormat:
