@@ -103,6 +103,13 @@ def density_record(vec: DensityVector) -> dict:
 
 
 def density_from_record(record: dict) -> DensityVector:
+    """Inverse of density_record; raises ValueError on a record that is not an
+    object or lacks "K" or "values"."""
+    if not isinstance(record, dict):
+        raise ValueError(f"density record must be a JSON object, got {record!r}")
+    for key in ("K", "values"):
+        if key not in record:
+            raise ValueError(f"density record has no {key!r} key")
     vec = DensityVector(np.asarray(record["values"], dtype=np.float64),
                         float(record.get("M", 1.0)))
     if vec.k != int(record["K"]):

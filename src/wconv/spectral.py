@@ -1,11 +1,11 @@
 """Numerical checks of weighted-convolution identities on periodic grids.
 
 The weighted circular convolution h(z) = sum_x f(x) g(z-x) phi(z-x) is
-computed directly in the signal domain; the FFT enters only as the
-independent oracle for the convolution theorem and the plain-convolution
-reduction.  Signals are 1-D vectors or square 2-D grids with circular
-indexing, the one discrete setting where the transform identities are
-exact.
+computed directly in the signal domain, as a product with the circulant
+matrix of f; the FFT enters only as the independent oracle for the
+convolution theorem and the plain-convolution reduction.  Signals are 1-D
+vectors or 2-D grids, square or not, with circular indexing, the one
+discrete setting where the transform identities are exact.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from .errors import ShapeError
 
 
 def _check_signals(*signals):
+    """The signals as float64 arrays of one shape, 1-D or 2-D (any rows and
+    columns); raises ShapeError otherwise."""
     arrays = [np.asarray(s, dtype=np.float64) for s in signals]
     shape = arrays[0].shape
     for arr in arrays[1:]:
@@ -28,15 +30,29 @@ def _check_signals(*signals):
     return arrays
 
 
+def _shifts(n):
+    """Index matrix [z, y] -> (z - y) mod n."""
+    return np.subtract.outer(np.arange(n), np.arange(n)) % n
+
+
+def _weighted_conv(f, g, density):
+    """sum_y f(z - y) (g . density)(y) for one filter g or a stack of them
+    along g's leading axes.  1-D: a product with the circulant
+    C[z, y] = f[z - y].  2-D: P[x1, y1, z2] = sum_y2 f[x1, z2 - y2] gphi[y1, y2]
+    through the row circulants, then h[z1, z2] = sum_y1 P[z1 - y1, y1, z2],
+    so no (rows * cols)^2 matrix is formed."""
+    gphi = g * density
+    circ = f[..., _shifts(f.shape[-1])]
+    if f.ndim == 1:
+        return gphi @ circ.T
+    rows = f.shape[0]
+    part = gphi[..., None, :, :] @ circ.swapaxes(-1, -2)
+    return part[..., _shifts(rows), np.arange(rows), :].sum(axis=-2)
+
+
 def circular_weighted_conv(f, g, density) -> np.ndarray:
     """h(z) = sum_x f(x) * g(z - x) * density(z - x), indices wrapping."""
-    f, g, density = _check_signals(f, g, density)
-    gphi = g * density
-    axes = tuple(range(f.ndim))
-    out = np.zeros_like(f)
-    for x in np.ndindex(f.shape):
-        out += f[x] * np.roll(gphi, x, axis=axes)
-    return out
+    return _weighted_conv(*_check_signals(f, g, density))
 
 
 def circular_conv_fft(f, g) -> np.ndarray:
@@ -81,17 +97,15 @@ def check_differentiability(f, density, step: float = 1e-6, seed: int = 0) -> fl
     if f.ndim != 1:
         raise ShapeError("differentiability check is defined on 1-D signals")
     n = f.shape[0]
-    analytic = np.empty((n, n))
-    for s in range(n):
-        analytic[:, s] = f[(np.arange(n) - s) % n] * density[s]
+    # indexed here rather than through _shifts, so that a wrong kernel index
+    # cannot also move the reference
+    analytic = f[(np.arange(n)[:, None] - np.arange(n)) % n] * density
     g = np.random.default_rng(seed).standard_normal(n)
-    fd = np.empty((n, n))
-    for s in range(n):
-        bump = np.zeros(n)
-        bump[s] = step
-        plus = circular_weighted_conv(f, g + bump, density)
-        minus = circular_weighted_conv(f, g - bump, density)
-        fd[:, s] = (plus - minus) / (2.0 * step)
+    bumps = step * np.eye(n)
+    # row s of each stack is the filter g +- step e_s
+    plus = _weighted_conv(f, g + bumps, density)
+    minus = _weighted_conv(f, g - bumps, density)
+    fd = ((plus - minus) / (2.0 * step)).T
     scale = max(np.max(np.abs(analytic)), np.max(np.abs(fd)), 1e-30)
     return float(np.max(np.abs(analytic - fd)) / scale)
 
@@ -151,8 +165,15 @@ def run_verification(instances: int = 100, sizes=(8, 16, 64),
     """Run every property check on seeded random instances.
 
     Returns one record per property with the worst error observed across
-    all instances and sizes.
+    all instances and sizes.  Raises ValueError, naming the CLI flag, when
+    there would be nothing to check.
     """
+    if instances < 1:
+        raise ValueError(f"--instances must be >= 1, got {instances}")
+    if young_triples < 1:
+        raise ValueError(f"--young-triples must be >= 1, got {young_triples}")
+    if not sizes or min(sizes) < 1:
+        raise ValueError(f"--sizes must list sizes >= 1, got {list(sizes)}")
     rng = np.random.default_rng(seed)
     errors = {name: 0.0 for name in TOLERANCES}
     counts = {name: 0 for name in TOLERANCES}

@@ -108,6 +108,26 @@ class TestTrain:
                       "--alpha", "0.4", "--density-family", "uniform")
         assert code == 2
 
+    @pytest.mark.parametrize("record, missing", [
+        ({"K": 3}, "'values'"),
+        ({"values": [0.5, 1.0, 0.5]}, "'K'"),
+        ([0.5, 1.0, 0.5], "JSON object"),
+    ])
+    @pytest.mark.parametrize("source", ["density-file", "config"])
+    def test_malformed_density_record_is_a_usage_error(self, tmp_path, capsys,
+                                                       record, missing, source):
+        path = tmp_path / "record.json"
+        if source == "config":
+            path.write_text(json.dumps({"density": record}))
+            argv = ["--config", str(path), "train"]
+        else:
+            path.write_text(json.dumps(record))
+            argv = ["train", "--density-file", str(path)]
+        code, _ = run(tmp_path, *argv, "--n-images", "2", "--rows", "8",
+                      "--cols", "8", "--epochs", "1")
+        assert code == 2
+        assert missing in capsys.readouterr().err
+
     def test_train_from_data_dir(self, tmp_path):
         _, data = run(tmp_path, "gen-data", *MICRO_DATA, name="data")
         code, out = run(tmp_path, "train", *MICRO_MODEL, "--data-dir",
@@ -213,6 +233,23 @@ class TestVerify:
         with open(out / "verify.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 7 and all(r["result"] == "PASS" for r in rows)
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--instances", "0", "--young-triples", "0"], "--instances"),
+        (["--instances", "-1"], "--instances"),
+        (["--young-triples", "0"], "--young-triples"),
+        (["--sizes", "0"], "--sizes"),
+        (["--sizes", "8,0"], "--sizes"),
+        (["--sizes", ","], "--sizes"),
+    ])
+    def test_empty_verification_is_a_usage_error(self, tmp_path, capsys,
+                                                 flags, named):
+        code, out = run(tmp_path, "verify", *flags)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert named in captured.err
+        assert "PASS" not in captured.out
+        assert not (out / "verify.csv").exists()
 
     def test_failing_property_exits_one(self, tmp_path, monkeypatch):
         fake = [PropertyCheck("convolution_theorem", 1, 1.0, 1e-9, False)]

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import wconv
+import wconv.spectral as spectral
 from oracles import (circular_weighted_conv_oracle,
                      circular_weighted_conv_oracle_2d)
 from wconv.errors import ShapeError
@@ -48,6 +54,34 @@ class TestCircularWeightedConv:
         want = circular_weighted_conv_oracle_2d(f, g, phi)
         assert np.max(np.abs(got - want)) < 1e-12
 
+    @pytest.mark.parametrize("n", [8, 16, 64])
+    def test_matches_loop_oracle_at_verify_sizes(self, n):
+        f, g, phi = rand_signals(n, 20 + n)
+        got = circular_weighted_conv(f, g, phi)
+        want = circular_weighted_conv_oracle(f, g, phi)
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    @pytest.mark.parametrize("shape", [(5, 7), (1, 6), (6, 1)])
+    def test_matches_loop_oracle_on_rectangular_grids(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        f = rng.standard_normal(shape)
+        g = rng.standard_normal(shape)
+        phi = rng.uniform(0.0, 2.0, shape)
+        got = circular_weighted_conv(f, g, phi)
+        want = circular_weighted_conv_oracle_2d(f, g, phi)
+        assert got.shape == shape
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    @pytest.mark.parametrize("shape", [(12,), (4, 5)])
+    def test_filter_stack_matches_one_filter_at_a_time(self, shape):
+        rng = np.random.default_rng(21)
+        f = rng.standard_normal(shape)
+        phi = rng.uniform(0.0, 2.0, shape)
+        stack = rng.standard_normal((3, *shape))
+        got = spectral._weighted_conv(f, stack, phi)
+        want = [circular_weighted_conv(f, g, phi) for g in stack]
+        assert np.max(np.abs(got - want)) < 1e-12
+
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
             circular_weighted_conv(np.ones(8), np.ones(9), np.ones(8))
@@ -93,6 +127,17 @@ class TestDifferentiability:
         rng = np.random.default_rng(10)
         f = rng.standard_normal(10)
         assert check_differentiability(f, np.zeros(10)) == 0.0
+
+    def test_kernel_without_the_density_fails_the_check(self, monkeypatch):
+        # the finite differences run through the operator's own kernel, so
+        # breaking the kernel must show in the check
+        kernel = spectral._weighted_conv
+        monkeypatch.setattr(spectral, "_weighted_conv",
+                            lambda f, g, density: kernel(f, g, np.ones(f.shape)))
+        rng = np.random.default_rng(9)
+        f = rng.standard_normal(12)
+        phi = rng.uniform(0.0, 2.0, 12)
+        assert check_differentiability(f, phi) > 1e-6
 
     def test_delta_input_gives_diagonal_density_jacobian(self):
         n = 9
@@ -157,3 +202,20 @@ class TestRunVerification:
                          "fft_reduction"}
         assert all(r.passed for r in reports)
         assert all(r.instances > 0 for r in reports)
+
+    def test_records_do_not_depend_on_blas_threads(self):
+        script = ("from wconv.spectral import run_verification; "
+                  "print(repr(run_verification(instances=3, sizes=(8, 64), "
+                  "young_triples=10)))")
+        src = os.path.dirname(os.path.dirname(wconv.__file__))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           [src, os.environ.get("PYTHONPATH", "")]))
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, check=True,
+                                  timeout=120)
+            outputs.append(done.stdout)
+        assert "PropertyCheck" in outputs[0]
+        assert outputs[0] == outputs[1]
