@@ -206,8 +206,8 @@ def _merge(section: dict, **flags) -> dict:
 
 _INT, _NUMBER = (int,), (int, float)
 # The keys each config section may hold and the types of their values, as
-# _dataset_spec, _model_cfg, _direct_opts and density_from_record read them.
-# There is no seed key: --seed (default 0) seeds the data and the model.
+# _dataset_spec, _model_cfg and _direct_opts read them (density_from_record
+# checks "density").  No seed key: --seed (default 0) seeds data and model.
 _CONFIG_KEYS = {
     "dataset": {"n_images": _INT, "rows": _INT, "cols": _INT,
                 "noise_sigma": _NUMBER, "smoothness": _NUMBER},
@@ -217,7 +217,6 @@ _CONFIG_KEYS = {
     "direct": {"max_evals": _INT, "max_iters": _INT, "f_tol": _NUMBER,
                "epsilon": _NUMBER, "alpha_lo": _NUMBER, "alpha_hi": _NUMBER,
                "bounds": (list,)},
-    "density": {"K": _INT, "M": _NUMBER, "values": (list,)},
 }
 
 
@@ -226,9 +225,12 @@ def _check_config(config) -> None:
     if not isinstance(config, dict):
         raise ValueError("config must be a JSON object")
     for name, section in config.items():
+        if name == "density":
+            density_from_record(section)
+            continue
         if name not in _CONFIG_KEYS:
             raise ValueError(f"unknown config section {name!r}, expected one of "
-                             f"{sorted(_CONFIG_KEYS)}")
+                             f"{sorted([*_CONFIG_KEYS, 'density'])}")
         if not isinstance(section, dict):
             raise ValueError(f"config section {name!r} must be a JSON object")
         for key, value in section.items():

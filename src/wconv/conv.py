@@ -2,11 +2,11 @@
 
 All operators use "same" zero padding: the output pixel (i, j) at stride s
 is the inner product of the kernel with the K x K input window centred at
-(i * s, j * s), entries outside the image counting as zero.  The weighted
-forward pass scales each tap's contribution by the density value for that
-offset inside the accumulation loop; premultiplying the kernel once via
-``scale_kernel`` is numerically equivalent (to rounding) and cheaper when
-the density is fixed.
+(i * s, j * s), entries outside the image counting as zero.  Only
+``conv2d_weighted``, the paper's operator, scales each tap by the density
+inside its tap loop; the overhead benchmark (``bench``, criterion 8) times
+it.  The other operators take the density folded into the kernel once
+(``scale_kernel``, equal up to rounding), as training does every step.
 
 Every operator loops over the K x K taps and mixes channels once per tap.
 How a tap mixes depends on the channel counts alone: a broadcast product
@@ -80,17 +80,23 @@ def _check_density(density, k: int) -> np.ndarray:
     return density
 
 
-def _check_input(x, kernel: KernelStack, stride: int) -> np.ndarray:
+def _check_operand(x, channels: int | None, step, name: str = "input",
+                   step_name: str = "stride") -> np.ndarray:
+    """Float64 4-D operand with ``channels`` channels (None: any) and a
+    positive-integer stride or upsample factor ``step``."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 4:
-        raise ShapeError(f"input must be (batch, channel, row, col), got rank {x.ndim}")
-    if x.shape[1] != kernel.in_channels:
-        raise ShapeError(
-            f"input has {x.shape[1]} channels, kernel expects {kernel.in_channels}"
-        )
-    if not isinstance(stride, (int, np.integer)) or stride < 1:
-        raise ValueError(f"stride must be a positive integer, got {stride!r}")
+        raise ShapeError(f"{name} must be (batch, channel, row, col), got rank {x.ndim}")
+    if channels is not None and x.shape[1] != channels:
+        raise ShapeError(f"{name} has {x.shape[1]} channels, kernel expects {channels}")
+    if not isinstance(step, (int, np.integer)) or step < 1:
+        raise ValueError(f"{step_name} must be a positive integer, got {step!r}")
     return x
+
+
+def _check_bias(kernel: KernelStack, channels: int) -> None:
+    if kernel.bias is not None and kernel.bias.shape[0] != channels:
+        raise ShapeError(f"bias length {kernel.bias.shape[0]} != output channels {channels}")
 
 
 def _window(xp, a, b, stride, ro, co):
@@ -155,9 +161,8 @@ def _forward(x, weights, density, bias, stride):
 
 def conv2d(x, kernel: KernelStack, stride: int = 1) -> np.ndarray:
     """Standard convolution; output (batch, filters, ceil(R/s), ceil(C/s))."""
-    x = _check_input(x, kernel, stride)
-    if kernel.bias is not None and kernel.bias.shape[0] != kernel.filters:
-        raise ShapeError(f"bias length {kernel.bias.shape[0]} != filters {kernel.filters}")
+    x = _check_operand(x, kernel.in_channels, stride)
+    _check_bias(kernel, kernel.filters)
     return _forward(x, kernel.weights, None, kernel.bias, stride)
 
 
@@ -166,14 +171,13 @@ def conv2d_weighted(x, kernel: KernelStack, density, stride: int = 1) -> np.ndar
 
     A uniform all-ones density reproduces ``conv2d`` bit-for-bit.
     """
-    x = _check_input(x, kernel, stride)
+    x = _check_operand(x, kernel.in_channels, stride)
     density = _check_density(density, kernel.k)
-    if kernel.bias is not None and kernel.bias.shape[0] != kernel.filters:
-        raise ShapeError(f"bias length {kernel.bias.shape[0]} != filters {kernel.filters}")
+    _check_bias(kernel, kernel.filters)
     return _forward(x, kernel.weights, density, kernel.bias, stride)
 
 
-def _scatter_input(weights, density, upstream, rows, cols, stride):
+def _scatter_input(weights, upstream, rows, cols, stride):
     bsz, _, ro, co = upstream.shape
     _, cin, k, _ = weights.shape
     pad = k // 2
@@ -181,8 +185,6 @@ def _scatter_input(weights, density, upstream, rows, cols, stride):
     for a in range(k):
         for b in range(k):
             w_ab = weights[:, :, a, b]
-            if density is not None:
-                w_ab = w_ab * density[a, b]
             gxp[:, :, a:a + (ro - 1) * stride + 1:stride,
                 b:b + (co - 1) * stride + 1:stride] += _mix(w_ab.T, upstream)
     return gxp[:, :, pad:pad + rows, pad:pad + cols]
@@ -196,23 +198,12 @@ def conv2d_transposed_weighted(y, kernel: KernelStack, density=None,
     c * upsample); satisfies <conv(x), y> == <x, conv_T(y)> when the bias
     is absent.
     """
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 4:
-        raise ShapeError(f"input must be (batch, channel, row, col), got rank {y.ndim}")
-    if y.shape[1] != kernel.filters:
-        raise ShapeError(f"input has {y.shape[1]} channels, kernel expects {kernel.filters}")
-    if not isinstance(upsample, (int, np.integer)) or upsample < 1:
-        raise ValueError(f"upsample factor must be a positive integer, got {upsample!r}")
-    if density is not None:
-        density = _check_density(density, kernel.k)
-    rows, cols = y.shape[2] * upsample, y.shape[3] * upsample
-    out = _scatter_input(kernel.weights, density, y, rows, cols, upsample)
+    y = _check_operand(y, kernel.filters, upsample, step_name="upsample factor")
+    _check_bias(kernel, kernel.in_channels)
+    weights = kernel.weights if density is None else scale_kernel(kernel, density).weights
+    out = _scatter_input(weights, y, y.shape[2] * upsample, y.shape[3] * upsample,
+                         upsample)
     if kernel.bias is not None:
-        if kernel.bias.shape[0] != kernel.in_channels:
-            raise ShapeError(
-                f"bias length {kernel.bias.shape[0]} != output channels "
-                f"{kernel.in_channels}"
-            )
         out += kernel.bias[:, None, None]
     return out
 
@@ -221,19 +212,19 @@ def grad_weights(x, density, upstream, k: int | None = None,
                  stride: int = 1) -> KernelStack:
     """Loss gradient with respect to the kernel weights and bias.
 
-    ``upstream`` is the loss gradient at the conv output.  With a density
-    in place each tap's weight gradient carries the density factor for
-    that offset.  ``k`` is only needed when ``density`` is None.
+    ``upstream`` is the loss gradient at the conv output.  A density
+    multiplies each tap's gradient, giving the gradient of the weights
+    behind a folded kernel.  ``k`` is only needed when ``density`` is None.
     """
-    x = np.asarray(x, dtype=np.float64)
-    upstream = np.asarray(upstream, dtype=np.float64)
+    x = _check_operand(x, None, stride)
+    upstream = _check_operand(upstream, None, stride, "upstream")
     if density is not None:
-        density = np.asarray(density, dtype=np.float64)
-        k = density.shape[0]
+        k = np.shape(density)[0]
+        density = _check_density(density, k)
     elif k is None:
         raise ValueError("kernel extent required when no density is given")
-    if x.ndim != 4 or upstream.ndim != 4 or x.shape[0] != upstream.shape[0]:
-        raise ShapeError("input and upstream must be 4-D with matching batch")
+    if x.shape[0] != upstream.shape[0]:
+        raise ShapeError("input and upstream must have matching batch")
     bsz, cin, rows, cols = x.shape
     _, fout, ro, co = upstream.shape
     if ro != -(-rows // stride) or co != -(-cols // stride):
@@ -243,32 +234,23 @@ def grad_weights(x, density, upstream, k: int | None = None,
     gw = np.zeros((fout, cin, k, k))
     for a in range(k):
         for b in range(k):
-            g = _mix_grad(upstream, _window(xp, a, b, stride, ro, co))
-            if density is not None:
-                g *= density[a, b]
-            gw[:, :, a, b] = g
-    gb = upstream.sum(axis=(0, 2, 3))
-    return KernelStack(gw, gb)
+            gw[:, :, a, b] = _mix_grad(upstream, _window(xp, a, b, stride, ro, co))
+    if density is not None:
+        gw *= density
+    return KernelStack(gw, upstream.sum(axis=(0, 2, 3)))
 
 
 def grad_input(kernel: KernelStack, density, upstream, input_hw=None,
                stride: int = 1) -> np.ndarray:
     """Loss gradient with respect to the conv input (adjoint map on upstream)."""
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.ndim != 4:
-        raise ShapeError(f"upstream must be 4-D, got rank {upstream.ndim}")
-    if upstream.shape[1] != kernel.filters:
-        raise ShapeError(
-            f"upstream has {upstream.shape[1]} channels, kernel has {kernel.filters}"
-        )
-    if density is not None:
-        density = _check_density(density, kernel.k)
+    upstream = _check_operand(upstream, kernel.filters, stride, "upstream")
+    weights = kernel.weights if density is None else scale_kernel(kernel, density).weights
     if input_hw is None:
         input_hw = (upstream.shape[2] * stride, upstream.shape[3] * stride)
     rows, cols = input_hw
     if -(-rows // stride) != upstream.shape[2] or -(-cols // stride) != upstream.shape[3]:
         raise ShapeError(f"input size {rows}x{cols} inconsistent with upstream/stride")
-    return _scatter_input(kernel.weights, density, upstream, rows, cols, stride)
+    return _scatter_input(weights, upstream, rows, cols, stride)
 
 
 def grad_density(x, kernel: KernelStack, upstream, stride: int = 1) -> np.ndarray:
@@ -278,11 +260,8 @@ def grad_density(x, kernel: KernelStack, upstream, stride: int = 1) -> np.ndarra
     the unweighted weight gradient times the weights, summed over filters
     and channels.
     """
-    x = _check_input(x, kernel, stride)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    bsz, _, rows, cols = x.shape
-    if upstream.shape != (bsz, kernel.filters, -(-rows // stride), -(-cols // stride)):
-        raise ShapeError(f"upstream shape {upstream.shape} inconsistent with forward pass")
+    x = _check_operand(x, kernel.in_channels, stride)
+    upstream = _check_operand(upstream, kernel.filters, stride, "upstream")
     gw = grad_weights(x, None, upstream, kernel.k, stride).weights
     return np.sum(gw * kernel.weights, axis=(0, 1))
 

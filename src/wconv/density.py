@@ -102,16 +102,32 @@ def density_record(vec: DensityVector) -> dict:
     return {"K": vec.k, "M": vec.center_value, "values": [float(v) for v in vec.values]}
 
 
-def density_from_record(record: dict) -> DensityVector:
-    """Inverse of density_record; raises ValueError on a record that is not an
-    object or lacks "K" or "values"."""
+# The keys of a density record and the types of their values.
+_RECORD_KEYS = {"K": (int,), "M": (int, float), "values": (list,)}
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def density_from_record(record) -> DensityVector:
+    """Inverse of density_record; raises ValueError naming the key when the
+    record is not an object, has an unknown key or a value of the wrong type,
+    or lacks "K" or "values"."""
     if not isinstance(record, dict):
         raise ValueError(f"density record must be a JSON object, got {record!r}")
+    for key, value in record.items():
+        if key not in _RECORD_KEYS:
+            raise ValueError(f"unknown key {key!r} in density record, expected "
+                             f"one of {sorted(_RECORD_KEYS)}")
+        if isinstance(value, bool) or not isinstance(value, _RECORD_KEYS[key]) or (
+                key == "values" and not all(map(_is_number, value))):
+            raise ValueError(f"density record value {key!r} = {value!r} has the wrong type")
     for key in ("K", "values"):
         if key not in record:
             raise ValueError(f"density record has no {key!r} key")
     vec = DensityVector(np.asarray(record["values"], dtype=np.float64),
                         float(record.get("M", 1.0)))
-    if vec.k != int(record["K"]):
+    if vec.k != record["K"]:
         raise ValueError(f"record K={record['K']} does not match {vec.k} values")
     return vec

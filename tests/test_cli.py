@@ -112,6 +112,12 @@ class TestTrain:
         ({"K": 3}, "'values'"),
         ({"values": [0.5, 1.0, 0.5]}, "'K'"),
         ([0.5, 1.0, 0.5], "JSON object"),
+        ({"K": None, "values": [0.5, 1.0, 0.5]}, "'K'"),
+        ({"K": "3", "values": [0.5, 1.0, 0.5]}, "'K'"),
+        ({"K": True, "values": [0.5, 1.0, 0.5]}, "'K'"),
+        ({"K": 3, "M": "1", "values": [0.5, 1.0, 0.5]}, "'M'"),
+        ({"K": 3, "values": [0.5, {}, 0.5]}, "'values'"),
+        ({"K": 3, "values": [0.5, 1.0, 0.5], "valeus": 1}, "'valeus'"),
     ])
     @pytest.mark.parametrize("source", ["density-file", "config"])
     def test_malformed_density_record_is_a_usage_error(self, tmp_path, capsys,

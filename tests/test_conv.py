@@ -317,6 +317,45 @@ class TestChannelMixing:
         assert rel_err(analytic, fd) < 1e-6
 
 
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("cin,fout", MIXING_CHANNELS)
+    def test_density_folds_into_the_kernel_exactly(self, cin, fout, stride, k):
+        # The density is a tap-wise factor on the weights: taking it inside
+        # the operator or folding it into the kernel first gives the same bits.
+        x, kernel, phi, up = self.make_case(cin, fout, k, stride, 24)
+        np.testing.assert_array_equal(
+            grad_weights(x, phi, up, stride=stride).weights,
+            grad_weights(x, None, up, k, stride).weights * phi)
+        np.testing.assert_array_equal(
+            grad_input(kernel, phi, up, (7, 6), stride),
+            grad_input(scale_kernel(kernel, phi), None, up, (7, 6), stride))
+        unbiased = KernelStack(kernel.weights)
+        np.testing.assert_array_equal(
+            conv2d_transposed_weighted(up, unbiased, phi, stride),
+            conv2d_transposed_weighted(up, scale_kernel(unbiased, phi), None, stride))
+
+
+BAD_STRIDE_CALLS = {
+    "conv2d": lambda x, kernel, phi, up, s: conv2d(x, kernel, s),
+    "conv2d_weighted": lambda x, kernel, phi, up, s: conv2d_weighted(x, kernel, phi, s),
+    "conv2d_transposed_weighted":
+        lambda x, kernel, phi, up, s: conv2d_transposed_weighted(up, kernel, phi, s),
+    "grad_weights": lambda x, kernel, phi, up, s: grad_weights(x, None, up, 3, s),
+    "grad_input": lambda x, kernel, phi, up, s: grad_input(kernel, None, up, stride=s),
+    "grad_density": lambda x, kernel, phi, up, s: grad_density(x, kernel, up, s),
+}
+
+
+@pytest.mark.parametrize("stride", [0, -1, 1.5])
+@pytest.mark.parametrize("op", sorted(BAD_STRIDE_CALLS))
+def test_every_op_rejects_a_stride_that_is_not_a_positive_integer(op, stride):
+    x = np.ones((1, 2, 4, 4))
+    kernel = KernelStack(np.ones((2, 2, 3, 3)))
+    with pytest.raises(ValueError, match="must be a positive integer"):
+        BAD_STRIDE_CALLS[op](x, kernel, np.ones((3, 3)), np.ones((1, 2, 4, 4)), stride)
+
+
 class TestFlopCount:
     def test_reference_value(self):
         assert flop_count(512, 512, 3, 3, weighted=True) == 21_233_664

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import fd_gradient, rel_err
+from wconv.conv import conv2d_transposed_weighted, conv2d_weighted
 from wconv.density import density_matrix, named_density
 from wconv.errors import DegenerateBatchError, DivergenceError, ShapeError
 from wconv.network import (BatchNorm2d, DenoiseNet, ModelConfig, kaiming_init,
@@ -125,6 +126,22 @@ class TestModelForward:
                                       density=np.ones((3, 3))))
         np.testing.assert_array_equal(plain.forward(x), ones.forward(x))
 
+    def test_folded_layers_match_the_in_loop_operators(self):
+        # The layers fold the density into their kernels; the paper's
+        # operators scale each tap inside the loop.  The two agree to rounding.
+        phi = density_matrix(named_density("gaussian", 3))
+        net = DenoiseNet(ModelConfig(channels=3, stride=2, kernel=3, seed=4,
+                                     density=phi))
+        x = np.random.default_rng(7).standard_normal((2, 1, 8, 8))
+
+        def bn_relu(h):  # a fresh BatchNorm2d is the untrained net's
+            return np.maximum(BatchNorm2d(h.shape[1]).forward(h), 0.0)
+
+        h = bn_relu(conv2d_weighted(x, net.conv1.kernel, phi, stride=2))
+        h = bn_relu(conv2d_weighted(h, net.conv2.kernel, phi))
+        want = bn_relu(conv2d_transposed_weighted(h, net.conv3.kernel, phi, 2))
+        assert rel_err(net.forward(x), want) < 1e-12
+
     def test_indivisible_spatial_dims_rejected(self):
         net = DenoiseNet(ModelConfig(channels=2, stride=2, kernel=3))
         with pytest.raises(ShapeError):
@@ -224,6 +241,18 @@ class TestSgdTrain:
                 sgd_train(pairs, cfg)
         assert info.value.epoch == 0 and info.value.step == 0
         assert "epoch 0" in str(info.value)
+
+    def test_weights_overflowed_by_a_step_are_a_divergence(self):
+        # lr * grad overflows some weights to inf while the loss is still
+        # finite; the next step's density fold must leave them to the loss
+        # check rather than reject them as invalid kernel weights.
+        data = [(noisy, 30.0 * clean) for noisy, clean in tiny_dataset(size=12)]
+        phi = density_matrix(named_density("gaussian", 3))
+        cfg = ModelConfig(channels=2, kernel=3, epochs=3, learning_rate=1.5e308,
+                          density=phi)
+        with pytest.raises(DivergenceError) as info:
+            sgd_train(data, cfg)
+        assert (info.value.epoch, info.value.step) == (1, 0)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
