@@ -12,8 +12,7 @@ from .conv import (KernelStack, conv2d, conv2d_transposed_weighted,
                    grad_weights, scale_kernel)
 from .density import (DensityVector, density_from_free, density_from_record,
                       density_matrix, density_record, named_density, FAMILIES)
-from .directl import DirectConfig, DirectResult, HyperRect, minimize, \
-    select_potentially_optimal, trisect
+from .directl import DirectConfig, minimize
 from .errors import (DegenerateBatchError, DivergenceError, FormatError,
                      SearchDivergedError, ShapeError)
 from .experiments import (DatasetSpec, OuterResult, bench_overhead,

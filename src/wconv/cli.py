@@ -5,8 +5,8 @@ bench, verify.  All outputs land under --out-dir (or $WCONV_OUT_DIR) as
 CSV/JSON/WCT1 files written atomically; wall-clock timings go to stdout
 only, so files are byte-stable across reruns with the same seeds.  Exit
 codes: 0 success, 1 domain failure (divergence, a search whose every
-evaluation diverged, verification FAIL, bad data files), 2 usage or
-validation error.
+evaluation or uniform baseline diverged, verification FAIL, bad data
+files), 2 usage or validation error.
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ of all taps is built, so memory stays at one window per tap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -208,8 +209,17 @@ def conv2d_transposed_weighted(y, kernel: KernelStack, density=None,
     return out
 
 
+class WeightGrad(NamedTuple):
+    """Weight and bias gradients.  Unlike a ``KernelStack`` they are not
+    checked for finiteness: an overflow is a divergence, which the
+    trainer's loss check reports, not invalid input."""
+
+    weights: np.ndarray
+    bias: np.ndarray
+
+
 def grad_weights(x, density, upstream, k: int | None = None,
-                 stride: int = 1) -> KernelStack:
+                 stride: int = 1) -> WeightGrad:
     """Loss gradient with respect to the kernel weights and bias.
 
     ``upstream`` is the loss gradient at the conv output.  A density
@@ -237,7 +247,7 @@ def grad_weights(x, density, upstream, k: int | None = None,
             gw[:, :, a, b] = _mix_grad(upstream, _window(xp, a, b, stride, ro, co))
     if density is not None:
         gw *= density
-    return KernelStack(gw, upstream.sum(axis=(0, 2, 3)))
+    return WeightGrad(gw, upstream.sum(axis=(0, 2, 3)))
 
 
 def grad_input(kernel: KernelStack, density, upstream, input_hw=None,

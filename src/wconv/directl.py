@@ -12,7 +12,7 @@ tie-breaking, so a run is a pure function of its inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,13 +78,18 @@ class TraceRow:
 
 @dataclass
 class DirectResult:
+    """Incumbent, iteration count, per-iteration trace, and the log of
+    every evaluation as (point, value as returned) in call order."""
+
     best_point: np.ndarray
     best_value: float
-    eval_count: int
     iterations: int
     trace: list[TraceRow]
-    init_value: float
-    nan_points: list[np.ndarray] = field(default_factory=list)
+    evals: list[tuple[np.ndarray, float]]
+
+    @property
+    def eval_count(self) -> int:
+        return len(self.evals)
 
 
 def select_potentially_optimal(rects, epsilon: float = 1e-4,
@@ -154,41 +159,14 @@ def select_potentially_optimal(rects, epsilon: float = 1e-4,
     return selected
 
 
-class _Sampler:
-    """Evaluates normalized points, tracking count, incumbent and NaN points."""
-
-    def __init__(self, objective, lower, upper):
-        self.objective = objective
-        self.lower = lower
-        self.span = upper - lower
-        self.count = 0
-        self.best_value = np.inf
-        self.best_point = None
-        self.nan_points = []
-
-    def denorm(self, xn):
-        return self.lower + xn * self.span
-
-    def __call__(self, xn) -> float:
-        point = self.denorm(xn)
-        value = float(self.objective(point))
-        self.count += 1
-        if not np.isfinite(value):
-            self.nan_points.append(point.copy())
-            value = np.inf
-        if value < self.best_value:
-            self.best_value = value
-            self.best_point = xn.copy()
-        return value
-
-
-def trisect(rect: HyperRect, sampler: _Sampler, next_index: int):
+def trisect(rect: HyperRect, evaluate, next_index: int):
     """Split a rectangle along all of its longest sides.
 
-    Samples centre +- side/3 along each longest dimension (2 new
-    evaluations per dimension), then splits best-scoring dimension first
-    so the most promising samples land in the largest children.  The
-    parent's centre is reused as the centre child's, never re-evaluated.
+    Samples centre +- side/3 along each longest dimension (2 calls of
+    ``evaluate`` on normalized points per dimension), then splits
+    best-scoring dimension first so the most promising samples land in the
+    largest children.  The parent's centre is reused as the centre child's,
+    never re-evaluated.
     """
     min_level = int(rect.levels.min())
     dims = [d for d in range(rect.levels.shape[0])
@@ -200,8 +178,8 @@ def trisect(rect: HyperRect, sampler: _Sampler, next_index: int):
         minus[d] -= delta
         plus = rect.center.copy()
         plus[d] += delta
-        f_minus = sampler(minus)
-        f_plus = sampler(plus)
+        f_minus = evaluate(minus)
+        f_plus = evaluate(plus)
         samples.append((min(f_minus, f_plus), d, minus, f_minus, plus, f_plus))
     samples.sort(key=lambda s: (s[0], s[1]))
     children = []
@@ -221,12 +199,13 @@ def minimize(objective, cfg: DirectConfig, init=None) -> DirectResult:
     The ``init`` point (defaulting to the box centre) is evaluated first
     and seeds the incumbent.  Terminates when the incumbent has improved
     by less than ``f_tol`` over ``STALL_ITERS`` consecutive iterations, or
-    on the evaluation/iteration budgets.  A NaN objective value scores the
-    point +inf and records it in the result; if every value is non-finite
-    there is no incumbent and the search raises ``SearchDivergedError``.
+    on the evaluation/iteration budgets.  Every evaluation is logged in
+    call order with the value the objective returned.  A non-finite value
+    scores the point +inf; if every value is non-finite there is no
+    incumbent and the search raises ``SearchDivergedError``.
     """
     n = cfg.lower.shape[0]
-    sampler = _Sampler(objective, cfg.lower, cfg.upper)
+    span = cfg.upper - cfg.lower
     if init is None:
         init_n = np.full(n, 0.5)
     else:
@@ -235,55 +214,51 @@ def minimize(objective, cfg: DirectConfig, init=None) -> DirectResult:
             raise ValueError(f"init point must have {n} components")
         if np.any(init < cfg.lower) or np.any(init > cfg.upper):
             raise ValueError("init point outside bounds")
-        init_n = (init - cfg.lower) / (cfg.upper - cfg.lower)
-    init_value = sampler(init_n)
+        init_n = (init - cfg.lower) / span
 
-    trace: list[TraceRow] = []
+    evals: list[tuple[np.ndarray, float]] = []
+    # NaN coordinates until some evaluation has been finite.
+    best_value, best_point = np.inf, np.full(n, np.nan)
 
-    def incumbent():
-        # NaN coordinates until some evaluation has been finite.
-        if sampler.best_point is None:
-            return np.full(n, np.nan)
-        return sampler.denorm(sampler.best_point)
+    def evaluate(xn) -> float:
+        nonlocal best_value, best_point
+        point = cfg.lower + xn * span
+        value = float(objective(point))
+        evals.append((point, value))
+        if not np.isfinite(value):
+            value = np.inf
+        if value < best_value:
+            best_value, best_point = value, point
+        return value
 
-    def result(iterations):
-        if sampler.best_point is None:
-            raise SearchDivergedError(sampler.count)
-        return DirectResult(incumbent(), sampler.best_value, sampler.count,
-                            iterations, trace, init_value, sampler.nan_points)
-
-    def record(iteration):
-        trace.append(TraceRow(iteration, sampler.count, sampler.best_value,
-                              incumbent()))
-
-    if sampler.count >= cfg.max_evals:
-        record(0)
-        return result(0)
-
-    center = np.full(n, 0.5)
-    center_value = init_value if np.array_equal(center, init_n) else sampler(center)
-    rects = [HyperRect(center, np.zeros(n, dtype=np.int64), center_value, 0)]
+    init_value = evaluate(init_n)
+    rects = []
+    if len(evals) < cfg.max_evals:
+        center = np.full(n, 0.5)
+        center_value = (init_value if np.array_equal(center, init_n)
+                        else evaluate(center))
+        rects.append(HyperRect(center, np.zeros(n, dtype=np.int64),
+                               center_value, 0))
     next_index = 1
-    record(0)
+    trace = [TraceRow(0, len(evals), best_value, best_point)]
 
     stall = 0
-    reference = sampler.best_value
+    reference = best_value
     iteration = 0
-    while iteration < cfg.max_iters and sampler.count < cfg.max_evals:
+    while iteration < cfg.max_iters and len(evals) < cfg.max_evals:
         iteration += 1
-        selected = select_potentially_optimal(rects, cfg.epsilon,
-                                              sampler.best_value)
+        selected = select_potentially_optimal(rects, cfg.epsilon, best_value)
         split_any = False
         for rect in selected:
             needed = 2 * int(np.sum(rect.levels == rect.levels.min()))
-            if sampler.count + needed > cfg.max_evals:
+            if len(evals) + needed > cfg.max_evals:
                 continue
-            children, next_index = trisect(rect, sampler, next_index)
+            children, next_index = trisect(rect, evaluate, next_index)
             rects.extend(children)
             split_any = True
-        record(iteration)
-        if reference - sampler.best_value >= cfg.f_tol:
-            reference = sampler.best_value
+        trace.append(TraceRow(iteration, len(evals), best_value, best_point))
+        if reference - best_value >= cfg.f_tol:
+            reference = best_value
             stall = 0
         else:
             stall += 1
@@ -291,4 +266,7 @@ def minimize(objective, cfg: DirectConfig, init=None) -> DirectResult:
             break
         if not split_any:
             break
-    return result(iteration)
+    if not np.isfinite(best_value):
+        raise SearchDivergedError(f"all {len(evals)} objective evaluations "
+                                  "were non-finite: the whole search diverged")
+    return DirectResult(best_point, best_value, iteration, trace, evals)

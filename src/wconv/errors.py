@@ -23,9 +23,5 @@ class DivergenceError(RuntimeError):
 
 
 class SearchDivergedError(RuntimeError):
-    """Every objective evaluation of a search was non-finite."""
-
-    def __init__(self, evals: int):
-        self.evals = evals
-        super().__init__(f"all {evals} objective evaluations were non-finite: "
-                         "the whole search diverged")
+    """A search has no result to report: every objective evaluation, or the
+    baseline its improvement is measured against, was non-finite."""

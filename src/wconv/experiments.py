@@ -18,7 +18,7 @@ from .conv import KernelStack, conv2d, conv2d_weighted, scale_kernel
 from .density import (DensityVector, density_from_free, density_matrix,
                       named_density)
 from .directl import DirectConfig, TraceRow, minimize
-from .errors import DivergenceError
+from .errors import DivergenceError, SearchDivergedError
 from .network import ModelConfig, mse_loss, sgd_train
 
 
@@ -99,14 +99,18 @@ def build_direct_config(k: int, max_evals: int = 60, max_iters: int = 40,
 
 def _training_objective(dataset, model_cfg: ModelConfig, k: int):
     """Final training loss as a function of the free density coefficients
-    ``theta``; NaN on divergence."""
+    ``theta``; NaN on divergence, which includes a run whose final loss is
+    not below its initial loss."""
     def objective(theta) -> float:
         phi = density_matrix(density_from_free(theta, k))
         cfg = replace(model_cfg, kernel=k, density=phi)
         try:
-            return sgd_train(dataset, cfg).final_loss
+            report = sgd_train(dataset, cfg)
         except DivergenceError:
             return float("nan")
+        if report.final_loss >= report.initial_loss:
+            return float("nan")
+        return report.final_loss
     return objective
 
 
@@ -117,7 +121,8 @@ def optimize_density(k: int, model_cfg: ModelConfig, direct_cfg: DirectConfig,
 
     The all-ones density is the forced first evaluation, so the incumbent
     can never be worse than the uniform baseline and the improvement
-    fraction 1 - best/uniform is non-negative.
+    fraction 1 - best/uniform is non-negative.  A diverged baseline leaves
+    nothing to improve on and raises ``SearchDivergedError``.
     """
     if k < 3 or k % 2 == 0:
         raise ValueError(f"kernel extent must be odd and >= 3, got {k}")
@@ -131,7 +136,10 @@ def optimize_density(k: int, model_cfg: ModelConfig, direct_cfg: DirectConfig,
         )
     objective = _training_objective(dataset, model_cfg, k)
     res = minimize(objective, direct_cfg, init=np.ones(n_free))
-    baseline = res.init_value
+    baseline = res.evals[0][1]
+    if not np.isfinite(baseline):
+        raise SearchDivergedError("the uniform baseline's training run "
+                                  "diverged: there is no improvement to report")
     improvement = 1.0 - res.best_value / baseline if baseline > 0 else float("nan")
     return OuterResult(
         alpha=density_from_free(res.best_point, k),
@@ -161,9 +169,10 @@ def sweep_hyperparams(axis: str, values, dataset_spec: DatasetSpec,
                       direct_opts: dict | None = None) -> list[dict]:
     """One nested optimization per axis value, everything else held fixed.
 
-    Image size stays fixed on the stride axis.  A failing run becomes a
-    row with its error message and the sweep continues.  Rows come back
-    sorted by axis value.
+    Image size stays fixed on the stride axis.  A run that diverges or
+    rejects its input becomes a row with its error message and the sweep
+    continues; any other exception is a bug and propagates.  Rows come
+    back sorted by axis value.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}, expected one of {SWEEP_AXES}")
@@ -187,7 +196,7 @@ def sweep_hyperparams(axis: str, values, dataset_spec: DatasetSpec,
             result = optimize_density(k, mc, build_direct_config(k, **direct_opts),
                                       gen_dataset(ds))
             rows.append(_outer_row(axis, value, result))
-        except Exception as exc:  # noqa: BLE001 - sweep must survive bad rows
+        except (DivergenceError, SearchDivergedError, ValueError) as exc:
             rows.append(_outer_row(axis, value, None, error=str(exc)))
     return rows
 

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 import wconv.cli as cli
+import wconv.experiments as experiments
 from wconv.cli import dispatch, emit_report
 from wconv.density import DensityVector
+from wconv.errors import DivergenceError
 from wconv.experiments import OuterResult
 from wconv.spectral import PropertyCheck
 from wconv.tensors import tensor_read
@@ -185,6 +187,33 @@ class TestOptimizeDensity:
         err = capsys.readouterr().err
         assert "whole search diverged" in err
         assert "usage:" not in err
+
+    def test_blown_up_losses_are_not_an_improvement(self, tmp_path, capsys):
+        # At this learning rate the training runs end near 1e33, far above
+        # their starting loss; one blow-up is no improvement on another.
+        code, out = run(tmp_path, "optimize-density", "--kernel", "3",
+                        "--n-images", "4", "--rows", "12", "--cols", "12",
+                        "--epochs", "3", "--lr", "1e6", "--max-evals", "8")
+        assert code == 1
+        assert "diverged" in capsys.readouterr().err
+        assert not (out / "outer_result.csv").exists()
+
+    def test_diverged_baseline_exits_1(self, tmp_path, capsys, monkeypatch):
+        # Only the uniform density diverges, so the search has an
+        # incumbent but nothing to measure an improvement against.
+        real_train = experiments.sgd_train
+
+        def uniform_diverges(dataset, cfg):
+            if np.all(cfg.density == 1.0):
+                raise DivergenceError(0, 0)
+            return real_train(dataset, cfg)
+
+        monkeypatch.setattr(experiments, "sgd_train", uniform_diverges)
+        code, _ = run(tmp_path, "optimize-density", *MICRO_DATA, *MICRO_MODEL,
+                      *MICRO_DIRECT)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "uniform baseline" in err and "usage:" not in err
 
     def test_byte_identical_across_runs(self, tmp_path):
         _, a = run(tmp_path, "optimize-density", *MICRO_DATA, *MICRO_MODEL,

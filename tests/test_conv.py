@@ -159,6 +159,14 @@ class TestGradWeights:
         assert not np.any(g.weights)
         assert not np.any(g.bias)
 
+    def test_non_finite_gradient_is_returned_not_rejected(self):
+        # An overflowed gradient is a divergence for the trainer to report,
+        # not invalid input.
+        g = grad_weights(np.ones((1, 1, 4, 4)), np.full((3, 3), np.nan),
+                         np.ones((1, 1, 4, 4)))
+        assert np.all(np.isnan(g.weights))
+        np.testing.assert_array_equal(g.bias, [16.0])
+
     def test_uniform_density_equals_plain_gradient(self):
         rng = np.random.default_rng(10)
         x = rng.standard_normal((2, 2, 5, 5))

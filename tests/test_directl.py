@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import potentially_optimal_oracle
-from wconv.directl import (DirectConfig, HyperRect, _Sampler, minimize,
+from wconv.directl import (DirectConfig, HyperRect, minimize,
                            select_potentially_optimal, trisect)
 from wconv.errors import SearchDivergedError
 
@@ -46,12 +46,21 @@ class TestSelectPotentiallyOptimal:
             assert got == want, f"trial {trial}: {got} != {want}"
 
 
+def counting(fn):
+    """``fn`` with a ``calls`` list of the points it was evaluated at."""
+    def evaluate(xn):
+        evaluate.calls.append(xn.copy())
+        return fn(xn)
+    evaluate.calls = []
+    return evaluate
+
+
 class TestTrisect:
     def test_unit_interval_three_cells(self):
-        sampler = _Sampler(lambda x: float(x[0]), np.zeros(1), np.ones(1))
+        evaluate = counting(lambda x: float(x[0]))
         root = HyperRect(np.array([0.5]), np.zeros(1, dtype=np.int64), 0.5, 0)
-        children, _ = trisect(root, sampler, 1)
-        assert sampler.count == 2
+        children, _ = trisect(root, evaluate, 1)
+        assert len(evaluate.calls) == 2
         assert len(children) == 2
         widths = [c.measure for c in children] + [root.measure]
         assert widths == [1 / 3, 1 / 3, 1 / 3]
@@ -61,22 +70,19 @@ class TestTrisect:
     def test_eval_accounting_two_per_split_dimension(self):
         for levels in ([0, 0], [0, 1], [1, 1, 1]):
             n = len(levels)
-            sampler = _Sampler(lambda x: float(np.sum(x)), np.zeros(n),
-                               np.ones(n))
+            evaluate = counting(lambda x: float(np.sum(x)))
             rect = HyperRect(np.full(n, 0.5), np.asarray(levels, np.int64), 0.0, 0)
             n_longest = sum(1 for v in levels if v == min(levels))
-            trisect(rect, sampler, 1)
-            assert sampler.count == 2 * n_longest
+            trisect(rect, evaluate, 1)
+            assert len(evaluate.calls) == 2 * n_longest
 
     def test_children_partition_parent_volume(self):
         def volume(r):
             return float(np.prod(3.0 ** -r.levels.astype(np.float64)))
 
-        sampler = _Sampler(lambda x: float(np.sum(x**2)), np.zeros(2),
-                           np.ones(2))
         rect = HyperRect(np.full(2, 0.5), np.ones(2, dtype=np.int64), 0.0, 0)
         parent_volume = volume(rect)
-        children, _ = trisect(rect, sampler, 1)
+        children, _ = trisect(rect, lambda x: float(np.sum(x**2)), 1)
         total = volume(rect) + sum(volume(c) for c in children)
         assert abs(total - parent_volume) < 1e-12 * parent_volume
 
@@ -129,6 +135,9 @@ class TestMinimize:
             assert ra.evals == rb.evals
             assert ra.best_value == rb.best_value
             assert np.array_equal(ra.best_point, rb.best_point)
+        assert len(a.evals) == len(b.evals) == a.eval_count
+        for (pa, va), (pb, vb) in zip(a.evals, b.evals):
+            assert np.array_equal(pa, pb) and va == vb
 
     def test_best_value_monotone_non_increasing(self):
         cfg = DirectConfig(np.zeros(2), np.ones(2), max_evals=400, max_iters=80)
@@ -149,6 +158,9 @@ class TestMinimize:
         assert res.eval_count == len(seen)
         for point in seen:
             assert np.all(point >= lo) and np.all(point <= hi)
+        for (point, value), called in zip(res.evals, seen):
+            assert np.array_equal(point, called)
+            assert value == float(np.sum((called - 1.7) ** 2))
 
     def test_nan_objective_scored_infinite_and_flagged(self):
         def objective(x):
@@ -157,8 +169,9 @@ class TestMinimize:
         cfg = DirectConfig(np.array([0.0]), np.array([1.0]), max_evals=120,
                            max_iters=40)
         res = minimize(objective, cfg)
-        assert len(res.nan_points) > 0
-        assert all(p[0] < 0.3 for p in res.nan_points)
+        nan_points = [p for p, v in res.evals if np.isnan(v)]
+        assert len(nan_points) > 0
+        assert all(p[0] < 0.3 for p in nan_points)
         assert abs(res.best_point[0] - 0.5) < 1e-2
         assert np.isfinite(res.best_value)
 
@@ -186,7 +199,8 @@ class TestMinimize:
         assert res.eval_count == 1
         assert res.iterations == 0
         np.testing.assert_array_equal(res.best_point, [1.0])
-        assert res.best_value == quad_1d([1.0]) == res.init_value
+        assert res.best_value == quad_1d([1.0]) == res.evals[0][1]
+        np.testing.assert_array_equal(res.evals[0][0], [1.0])
 
     def test_invalid_bounds_rejected(self):
         with pytest.raises(ValueError):

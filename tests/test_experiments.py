@@ -102,6 +102,47 @@ class TestOptimizeDensity:
         with pytest.raises(ValueError):
             optimize_density(5, TINY_MODEL, tiny_direct(), gen_dataset(TINY_SPEC))
 
+    def test_loss_not_below_its_start_scores_as_diverged(self, monkeypatch):
+        real_train = experiments.sgd_train
+
+        def stalled_train(dataset, cfg):
+            report = real_train(dataset, cfg)
+            if cfg.density[0, 1] > 1.5:
+                report.final_loss = report.initial_loss
+            return report
+
+        monkeypatch.setattr(experiments, "sgd_train", stalled_train)
+        objective = experiments._training_objective(gen_dataset(TINY_SPEC),
+                                                    TINY_MODEL, 3)
+        assert np.isnan(objective(np.array([1.8])))
+        assert np.isfinite(objective(np.array([1.2])))
+
+
+class TestGoldenSearch:
+    """Pins two tiny searches so a refactor of DIRECT that changes a result
+    fails here.  The densities are DIRECT grid points and must match
+    exactly; the objective goes through float64 training."""
+
+    SPEC = DatasetSpec(n_images=4, rows=12, cols=12, seed=7)
+
+    @pytest.mark.parametrize("k, per_iteration, alpha, objective", [
+        (3, [1, 2, 2, 4, 6, 6, 2, 0], [1.9958847736625513, 1.0,
+                                       1.9958847736625513],
+         0.36655296131115883),
+        (5, [2, 4, 6, 4, 8], [2.0, 2.5925925925925926, 1.0,
+                              2.5925925925925926, 2.0], 0.376266504446521),
+    ])
+    def test_tiny_search_result(self, k, per_iteration, alpha, objective):
+        res = optimize_density(k, ModelConfig(channels=2, kernel=k, epochs=3,
+                                              seed=7),
+                               build_direct_config(k, max_evals=24,
+                                                   max_iters=12),
+                               gen_dataset(self.SPEC))
+        counts = [0] + [row.evals for row in res.trace]
+        assert [b - a for a, b in zip(counts, counts[1:])] == per_iteration
+        assert res.alpha.values.tolist() == alpha
+        np.testing.assert_allclose(res.objective, objective, rtol=1e-12)
+
 
 class TestSweep:
     def test_single_value_matches_lone_run(self):
@@ -133,6 +174,15 @@ class TestSweep:
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError):
             sweep_hyperparams("widths", [1], TINY_SPEC, TINY_MODEL)
+
+    def test_code_bug_propagates_instead_of_becoming_a_row(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("a bug, not a failed run")
+
+        monkeypatch.setattr(experiments, "optimize_density", broken)
+        with pytest.raises(TypeError, match="a bug"):
+            sweep_hyperparams("epochs", [1], TINY_SPEC, TINY_MODEL,
+                              direct_opts=dict(max_evals=5, max_iters=4))
 
 
 class TestCompareDensities:
