@@ -4,16 +4,19 @@ All operators use "same" zero padding: the output pixel (i, j) at stride s
 is the inner product of the kernel with the K x K input window centred at
 (i * s, j * s), entries outside the image counting as zero.  Only
 ``conv2d_weighted``, the paper's operator, scales each tap by the density
-inside its tap loop; the overhead benchmark (``bench``, criterion 8) times
+as it gathers the taps; the overhead benchmark (``bench``, criterion 8) times
 it.  The other operators take the density folded into the kernel once
 (``scale_kernel``, equal up to rounding), as training does every step.
 
-Every operator loops over the K x K taps and mixes channels once per tap.
-How a tap mixes depends on the channel counts alone: a broadcast product
-when one channel is contracted, ``np.einsum`` while filters x channels stays
-below ``_BLAS_MIN_CHANNELS``, and one BLAS ``np.matmul`` (after copying the
-tap's strided window to contiguous memory) from there on.  No im2col buffer
-of all taps is built, so memory stays at one window per tap.
+Every operator lowers its input to im2col columns (Chellapilla, Puri &
+Simard, 2006): for a chunk of images, the K x K strided windows of every
+channel are gathered into one (images, channels * K * K, pixels) matrix,
+which ``np.matmul`` contracts against the (filters, channels * K * K)
+kernel matrix; the transposed direction multiplies by the transposed
+kernel matrix and scatters the columns back (col2im).  The chunk holds as
+many images as fit ``_COLUMN_BYTES``, so the buffer never grows with the
+batch, and no product contracts more than ``_GEMM_DEPTH`` terms in one
+BLAS call, so results do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -100,61 +103,105 @@ def _check_bias(kernel: KernelStack, channels: int) -> None:
         raise ShapeError(f"bias length {kernel.bias.shape[0]} != output channels {channels}")
 
 
-def _window(xp, a, b, stride, ro, co):
-    return xp[:, :, a:a + (ro - 1) * stride + 1:stride,
-              b:b + (co - 1) * stride + 1:stride]
+def _tap_range(offset, stride, size, out_size):
+    """(output slice, input slice) of one tap offset along one axis: the
+    outputs whose tap lands inside the image and the input entries read."""
+    lo = max(0, -(offset // stride))
+    hi = min(out_size, (size - 1 - offset) // stride + 1)
+    if hi <= lo:
+        return slice(0, 0), slice(0, 0)
+    return slice(lo, hi), slice(lo * stride + offset, (hi - 1) * stride + offset + 1, stride)
 
 
-# Filters x channels from which a tap's channel mixing goes through BLAS.
-# Timed per tap at the desk (20 images, 64 x 64) and wide-train (8 and 48
-# images, 32 x 32 outputs) shapes: at 2 x 2 the einsum was as fast or faster
-# in the forward and weight-gradient kernels, from 8 on matmul was faster or
-# level in all three.
-_BLAS_MIN_CHANNELS = 8
+def _taps(k, stride, rows, cols, ro, co):
+    """Yield ``(a, b, output index, input index)`` for every tap; entries
+    outside the image are the zero padding and are never read."""
+    pad = k // 2
+    row_ranges = [_tap_range(a - pad, stride, rows, ro) for a in range(k)]
+    col_ranges = [_tap_range(b - pad, stride, cols, co) for b in range(k)]
+    for a, (out_r, in_r) in enumerate(row_ranges):
+        for b, (out_c, in_c) in enumerate(col_ranges):
+            yield a, b, (slice(None), slice(None), out_r, out_c), \
+                (slice(None), slice(None), in_r, in_c)
 
 
-def _mix(w, x):
-    """One tap's channel mixing, out[b, f] = sum_c w[f, c] * x[b, c].
-
-    ``w`` is (filters, channels); ``x`` is (batch, channels, rows, cols),
-    possibly a strided window.
-    """
-    fout, cin = w.shape
-    if cin == 1:
-        return x * w[:, 0, None, None]
-    if fout * cin < _BLAS_MIN_CHANNELS:
-        return np.einsum("bcij,fc->bfij", x, w)
-    bsz, _, rows, cols = x.shape
-    flat = np.ascontiguousarray(x).reshape(bsz, cin, rows * cols)
-    return np.matmul(w, flat).reshape(bsz, fout, rows, cols)
+# Byte budget of one column buffer.  The batch is lowered a chunk of images
+# at a time so the buffer stays cache-sized and the full-dataset loss pass
+# never holds all K x K windows of its input at once; an image larger than
+# the budget is lowered alone.  Median training times on a 2-core Xeon
+# (2 MiB L2 per core), desk shape (20 x 64 x 64, c=2, K=3, 10 epochs) and
+# wide-train shape (48 images, c=16, K=5, stride 2, 1 epoch): 0.25, 0.5,
+# 1, 2 and 4 MiB gave 0.189, 0.179, 0.164, 0.169 and 0.182 s (desk) and
+# 0.299, 0.281, 0.275, 0.285 and 0.285 s (wide).
+_COLUMN_BYTES = 1 << 20
 
 
-def _mix_grad(upstream, x):
-    """One tap's weight gradient, g[f, c] = sum_{b,i,j} upstream[b, f] * x[b, c]."""
-    bsz, fout, rows, cols = upstream.shape
-    cin = x.shape[1]
-    if fout * cin < _BLAS_MIN_CHANNELS:
-        return np.einsum("bfij,bcij->fc", upstream, x)
-    flat = np.ascontiguousarray(x).reshape(bsz, cin, rows * cols)
-    per_image = np.matmul(upstream.reshape(bsz, fout, rows * cols),
-                          flat.transpose(0, 2, 1))
-    return per_image.sum(axis=0)
+def _chunk(per_image_columns: int) -> int:
+    """Images per chunk for ``per_image_columns`` float64 column entries."""
+    return max(1, _COLUMN_BYTES // (8 * per_image_columns))
+
+
+# Longest contraction handed to one BLAS call.  OpenBLAS cuts a product
+# deeper than its block into pieces one way in its threaded driver and
+# another in its serial one, so the sums, and every trained output, would
+# change with OPENBLAS_NUM_THREADS.  With OpenBLAS 0.3.31 on a 2-core Xeon,
+# 16 x K x 4096 products matched at 1 and 2 threads up to K = 384 and
+# differed at K = 400; 256 leaves room for cores with a shallower block.
+_GEMM_DEPTH = 256
+
+
+def _matmul(a, b):
+    """``a @ b`` for stacks a (..., M, K) and b (..., K, N), summing the K
+    terms in blocks of at most ``_GEMM_DEPTH`` per BLAS product, so the
+    result does not depend on the BLAS thread count."""
+    depth = a.shape[-1]
+    if depth <= _GEMM_DEPTH:
+        return np.matmul(a, b)
+    blocks, rest = divmod(depth, _GEMM_DEPTH)
+    whole = blocks * _GEMM_DEPTH
+    a_blocks = np.moveaxis(
+        a[..., :whole].reshape(*a.shape[:-1], blocks, _GEMM_DEPTH), -2, -3)
+    b_blocks = b[..., :whole, :].reshape(*b.shape[:-2], blocks, _GEMM_DEPTH,
+                                         b.shape[-1])
+    out = np.matmul(a_blocks, b_blocks).sum(axis=-3)
+    if rest:
+        out += np.matmul(a[..., whole:], b[..., whole:, :])
+    return out
+
+
+def _columns(x, k, stride, ro, co, density=None):
+    """Yield ``(start, columns)`` for each chunk of images of ``x``: the
+    (images, channels * K * K, ro * co) im2col matrix whose row (c, a, b)
+    is channel c's stride-``stride`` window at tap (a, b), zero outside
+    the image and scaled by ``density[a, b]`` when a density is given.
+    One buffer serves every chunk, so each matrix is valid until the next."""
+    bsz, cin, rows, cols = x.shape
+    taps = list(_taps(k, stride, rows, cols, ro, co))
+    chunk = _chunk(cin * k * k * ro * co)
+    # Zeroed once: every chunk writes the same in-image entries.
+    buf = np.zeros((min(chunk, bsz), cin, k, k, ro, co))
+    for s0 in range(0, bsz, chunk):
+        n = min(chunk, bsz - s0)
+        col, xs = buf[:n], x[s0:s0 + n]
+        for a, b, dst, src in taps:
+            np.copyto(col[:, :, a, b][dst], xs[src])
+        if density is not None:
+            # One pass over the gathered taps: a multiply per tap, pixel
+            # and channel, the weighted operator's cost over ``conv2d``.
+            col *= density[:, :, None, None]
+        yield s0, col.reshape(n, cin * k * k, ro * co)
 
 
 def _forward(x, weights, density, bias, stride):
-    bsz, _, rows, cols = x.shape
+    bsz, cin, rows, cols = x.shape
     fout, _, k, _ = weights.shape
-    pad = k // 2
     ro = -(-rows // stride)
     co = -(-cols // stride)
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    out = np.zeros((bsz, fout, ro, co))
-    for a in range(k):
-        for b in range(k):
-            term = _mix(weights[:, :, a, b], _window(xp, a, b, stride, ro, co))
-            if density is not None:
-                term *= density[a, b]
-            out += term
+    w2 = weights.reshape(fout, cin * k * k)
+    out = np.empty((bsz, fout, ro * co))
+    for s0, col in _columns(x, k, stride, ro, co, density):
+        out[s0:s0 + col.shape[0]] = _matmul(w2, col)
+    out = out.reshape(bsz, fout, ro, co)
     if bias is not None:
         out += bias[:, None, None]
     return out
@@ -179,16 +226,21 @@ def conv2d_weighted(x, kernel: KernelStack, density, stride: int = 1) -> np.ndar
 
 
 def _scatter_input(weights, upstream, rows, cols, stride):
-    bsz, _, ro, co = upstream.shape
+    bsz, fout, ro, co = upstream.shape
     _, cin, k, _ = weights.shape
-    pad = k // 2
-    gxp = np.zeros((bsz, cin, rows + 2 * pad, cols + 2 * pad))
-    for a in range(k):
-        for b in range(k):
-            w_ab = weights[:, :, a, b]
-            gxp[:, :, a:a + (ro - 1) * stride + 1:stride,
-                b:b + (co - 1) * stride + 1:stride] += _mix(w_ab.T, upstream)
-    return gxp[:, :, pad:pad + rows, pad:pad + cols]
+    wt = weights.reshape(fout, cin * k * k).T
+    up = upstream.reshape(bsz, fout, ro * co)
+    taps = list(_taps(k, stride, rows, cols, ro, co))
+    gx = np.zeros((bsz, cin, rows, cols))
+    chunk = _chunk(cin * k * k * ro * co)
+    for s0 in range(0, bsz, chunk):
+        n = min(chunk, bsz - s0)
+        col = _matmul(wt, up[s0:s0 + n]).reshape(n, cin, k, k, ro, co)
+        gs = gx[s0:s0 + n]
+        for a, b, dst, src in taps:
+            target = gs[src]
+            target += col[:, :, a, b][dst]
+    return gx
 
 
 def conv2d_transposed_weighted(y, kernel: KernelStack, density=None,
@@ -239,12 +291,12 @@ def grad_weights(x, density, upstream, k: int | None = None,
     _, fout, ro, co = upstream.shape
     if ro != -(-rows // stride) or co != -(-cols // stride):
         raise ShapeError(f"upstream spatial {ro}x{co} inconsistent with stride {stride}")
-    pad = k // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    gw = np.zeros((fout, cin, k, k))
-    for a in range(k):
-        for b in range(k):
-            gw[:, :, a, b] = _mix_grad(upstream, _window(xp, a, b, stride, ro, co))
+    up = upstream.reshape(bsz, fout, ro * co)
+    gw = np.zeros((fout, cin * k * k))
+    for s0, col in _columns(x, k, stride, ro, co):
+        per_image = _matmul(up[s0:s0 + col.shape[0]], col.transpose(0, 2, 1))
+        gw += per_image.sum(axis=0)
+    gw = gw.reshape(fout, cin, k, k)
     if density is not None:
         gw *= density
     return WeightGrad(gw, upstream.sum(axis=(0, 2, 3)))

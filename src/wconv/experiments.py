@@ -122,7 +122,8 @@ def optimize_density(k: int, model_cfg: ModelConfig, direct_cfg: DirectConfig,
     The all-ones density is the forced first evaluation, so the incumbent
     can never be worse than the uniform baseline and the improvement
     fraction 1 - best/uniform is non-negative.  A diverged baseline leaves
-    nothing to improve on and raises ``SearchDivergedError``.
+    nothing to improve on and raises ``SearchDivergedError`` before any
+    other training run.
     """
     if k < 3 or k % 2 == 0:
         raise ValueError(f"kernel extent must be odd and >= 3, got {k}")
@@ -134,12 +135,22 @@ def optimize_density(k: int, model_cfg: ModelConfig, direct_cfg: DirectConfig,
             f"direct config has {direct_cfg.lower.shape[0]} dims, "
             f"kernel {k} needs {n_free}"
         )
-    objective = _training_objective(dataset, model_cfg, k)
+    train = _training_objective(dataset, model_cfg, k)
+    first = True
+
+    def objective(theta) -> float:
+        # minimize evaluates the uniform init first; if that diverged, no
+        # later evaluation could report an improvement, so stop there.
+        nonlocal first
+        value = train(theta)
+        if first and not np.isfinite(value):
+            raise SearchDivergedError("the uniform baseline's training run "
+                                      "diverged: there is no improvement to report")
+        first = False
+        return value
+
     res = minimize(objective, direct_cfg, init=np.ones(n_free))
     baseline = res.evals[0][1]
-    if not np.isfinite(baseline):
-        raise SearchDivergedError("the uniform baseline's training run "
-                                  "diverged: there is no improvement to report")
     improvement = 1.0 - res.best_value / baseline if baseline > 0 else float("nan")
     return OuterResult(
         alpha=density_from_free(res.best_point, k),

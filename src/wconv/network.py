@@ -97,20 +97,29 @@ class BatchNorm2d:
             raise DegenerateBatchError(
                 f"need at least 2 samples per channel, got {count}"
             )
-        mean = x.mean(axis=(0, 2, 3), keepdims=True)
-        var = x.var(axis=(0, 2, 3), keepdims=True)
+        xhat = x - x.mean(axis=(0, 2, 3), keepdims=True)
+        var = np.einsum("bcij,bcij->c", xhat, xhat)[:, None, None] / count
         self._inv_std = 1.0 / np.sqrt(var + self.eps)
-        self._xhat = (x - mean) * self._inv_std
-        return self.gamma[:, None, None] * self._xhat + self.beta[:, None, None]
+        xhat *= self._inv_std
+        self._xhat = xhat
+        out = xhat * self.gamma[:, None, None]
+        out += self.beta[:, None, None]
+        return out
 
     def backward(self, upstream: np.ndarray) -> np.ndarray:
-        xhat, inv_std = self._xhat, self._inv_std
-        self.grad_gamma = np.sum(upstream * xhat, axis=(0, 2, 3))
-        self.grad_beta = np.sum(upstream, axis=(0, 2, 3))
-        g = upstream * self.gamma[:, None, None]
-        g_mean = g.mean(axis=(0, 2, 3), keepdims=True)
-        gx_mean = (g * xhat).mean(axis=(0, 2, 3), keepdims=True)
-        return inv_std * (g - g_mean - xhat * gx_mean)
+        # With g = gamma * upstream, mean(g) = gamma * grad_beta / count and
+        # mean(g * xhat) = gamma * grad_gamma / count, so the two parameter
+        # gradients are the only reductions the input gradient needs.
+        xhat = self._xhat
+        count = xhat.size // xhat.shape[1]
+        dx = upstream * xhat
+        self.grad_gamma = dx.sum(axis=(0, 2, 3))
+        self.grad_beta = upstream.sum(axis=(0, 2, 3))
+        np.multiply(xhat, (self.grad_gamma / count)[:, None, None], out=dx)
+        np.subtract(upstream, dx, out=dx)
+        dx -= (self.grad_beta / count)[:, None, None]
+        dx *= self.gamma[:, None, None] * self._inv_std
+        return dx
 
 
 class _WeightedConv:
@@ -197,7 +206,7 @@ class DenoiseNet:
                                         (self.conv3, self.bn3)]):
             h = bn.forward(conv.forward(h))
             self._masks[i] = h > 0
-            h = np.maximum(h, 0.0)
+            np.maximum(h, 0.0, out=h)
         return h
 
     def backward(self, upstream: np.ndarray) -> None:

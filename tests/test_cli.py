@@ -1,11 +1,14 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import wconv
 import wconv.cli as cli
 import wconv.experiments as experiments
 from wconv.cli import dispatch, emit_report
@@ -177,7 +180,8 @@ class TestOptimizeDensity:
     def test_all_evaluations_diverged_exits_1(self, tmp_path, capsys):
         # Every training run blows up at this learning rate, so the search
         # never has an incumbent; that is a domain failure, not a usage error.
-        # The overflow along the way raises no numpy warning.
+        # The uniform baseline is evaluated first, and its divergence ends
+        # the search.  The overflow along the way raises no numpy warning.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, _ = run(tmp_path, "optimize-density", "--kernel", "3",
@@ -185,7 +189,7 @@ class TestOptimizeDensity:
                           "--epochs", "3", "--lr", "1e200", "--max-evals", "6")
         assert code == 1
         err = capsys.readouterr().err
-        assert "whole search diverged" in err
+        assert "uniform baseline's training run diverged" in err
         assert "usage:" not in err
 
     def test_blown_up_losses_are_not_an_improvement(self, tmp_path, capsys):
@@ -201,9 +205,13 @@ class TestOptimizeDensity:
     def test_diverged_baseline_exits_1(self, tmp_path, capsys, monkeypatch):
         # Only the uniform density diverges, so the search has an
         # incumbent but nothing to measure an improvement against.
+        # The search stops at the baseline instead of training the rest of
+        # its 6-eval budget.
         real_train = experiments.sgd_train
+        calls = []
 
         def uniform_diverges(dataset, cfg):
+            calls.append(cfg.density)
             if np.all(cfg.density == 1.0):
                 raise DivergenceError(0, 0)
             return real_train(dataset, cfg)
@@ -212,8 +220,35 @@ class TestOptimizeDensity:
         code, _ = run(tmp_path, "optimize-density", *MICRO_DATA, *MICRO_MODEL,
                       *MICRO_DIRECT)
         assert code == 1
+        assert len(calls) == 1
         err = capsys.readouterr().err
         assert "uniform baseline" in err and "usage:" not in err
+
+    def test_outputs_do_not_depend_on_blas_threads(self, tmp_path):
+        # Every conv contracts its im2col columns in np.matmul.  At 16
+        # channels and K=5 the middle layer contracts 400 terms per output
+        # pixel over 32 x 32 pixels, enough for OpenBLAS to use two threads
+        # and longer than one of its blocks.  The paper's desk shape (c=2)
+        # runs on one BLAS thread at either setting.
+        src = os.path.dirname(os.path.dirname(wconv.__file__))
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           [src, os.environ.get("PYTHONPATH", "")]))
+            subprocess.run(
+                [sys.executable, "-m", "wconv.cli", "--out-dir", str(out),
+                 "optimize-density", "--n-images", "4", "--rows", "32",
+                 "--cols", "32", "--channels", "16", "--epochs", "2",
+                 "--kernel", "5", *MICRO_DIRECT],
+                env=env, capture_output=True, text=True, check=True, timeout=300)
+            outs.append(out)
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert "outer_result.csv" in names
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_byte_identical_across_runs(self, tmp_path):
         _, a = run(tmp_path, "optimize-density", *MICRO_DATA, *MICRO_MODEL,

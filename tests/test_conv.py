@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -250,24 +252,29 @@ class TestGradDensity:
             grad_density(np.ones((1, 1, 4, 4)), kernel, np.ones((1, 1, 4, 4)))
 
 
-# (in_channels, filters) pairs that put every kernel on each side of the
-# per-tap mixing choice.  The forward pass contracts in_channels, the
-# transposed pass and the input gradient contract filters, and the weight
-# gradient contracts pixels with filters x in_channels decides:
-#   (1, 3): forward broadcast, transposed einsum, weight gradient einsum
-#   (3, 1): forward einsum, transposed broadcast
-#   (2, 2): einsum everywhere
-#   (4, 3), (3, 4): BLAS matmul everywhere
-#   (1, 8): forward broadcast, transposed and weight gradient matmul
-#   (8, 1): forward and weight gradient matmul, transposed broadcast
+# (in_channels, filters) pairs for the im2col path: a single input channel
+# (one row of taps per filter), a single filter (a one-row kernel matrix),
+# equal counts, and more channels than filters and the reverse.  Every case
+# is a batch of 2 small images, which fits one chunk of the column budget;
+# TestChunking covers batches that span several chunks.
 MIXING_CHANNELS = [(1, 3), (3, 1), (2, 2), (4, 3), (3, 4), (1, 8), (8, 1)]
+
+# 40 images of 8 x 7 x 6 at K=5: 15 images of columns per chunk at 1 MiB,
+# so chunks of 15, 15 and 10.
+CHUNK_BATCH, CHUNK_CIN, CHUNK_FOUT, CHUNK_K = 40, 8, 3, 5
+
+
+def images_per_chunk(cin, k, ro, co):
+    return max(1, conv._COLUMN_BYTES // (8 * cin * k * k * ro * co))
 
 
 class TestChannelMixing:
-    def test_cases_straddle_the_blas_crossover(self):
-        products = [cin * fout for cin, fout in MIXING_CHANNELS
-                    if cin > 1 and fout > 1]
-        assert min(products) < conv._BLAS_MIN_CHANNELS <= max(products)
+    def test_cases_straddle_the_chunk_budget(self):
+        for cin, fout in MIXING_CHANNELS:
+            for k in (3, 5):
+                assert images_per_chunk(max(cin, fout), k, 7, 6) >= 2
+        chunk = images_per_chunk(CHUNK_CIN, CHUNK_K, 7, 6)
+        assert CHUNK_BATCH > 2 * chunk and CHUNK_BATCH % chunk != 0
 
     @staticmethod
     def make_case(cin, fout, k, stride, seed):
@@ -342,6 +349,120 @@ class TestChannelMixing:
         np.testing.assert_array_equal(
             conv2d_transposed_weighted(up, unbiased, phi, stride),
             conv2d_transposed_weighted(up, scale_kernel(unbiased, phi), None, stride))
+
+
+class TestChunking:
+    """Batches whose columns span three chunks, the last one short."""
+
+    @staticmethod
+    def make_case(seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((CHUNK_BATCH, CHUNK_CIN, 7, 6))
+        kernel = KernelStack(
+            rng.standard_normal((CHUNK_FOUT, CHUNK_CIN, CHUNK_K, CHUNK_K)),
+            rng.standard_normal(CHUNK_FOUT))
+        phi = rng.uniform(0.1, 2.0, (CHUNK_K, CHUNK_K))
+        up = rng.standard_normal((CHUNK_BATCH, CHUNK_FOUT, 7, 6))
+        return x, kernel, phi, up
+
+    def test_forward_matches_oracle(self):
+        x, kernel, phi, _ = self.make_case(30)
+        assert rel_err(conv2d(x, kernel),
+                       conv_oracle(x, kernel.weights, kernel.bias)) < 1e-12
+        assert rel_err(conv2d_weighted(x, kernel, phi),
+                       conv_oracle(x, kernel.weights, kernel.bias, phi)) < 1e-12
+
+    def test_transposed_is_adjoint(self):
+        x, kernel, phi, y = self.make_case(31)
+        unbiased = KernelStack(kernel.weights)
+        lhs = np.vdot(conv_oracle(x, kernel.weights, None, phi), y)
+        rhs = np.vdot(x, conv2d_transposed_weighted(y, unbiased, phi))
+        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+
+    def test_grad_weights_matches_finite_differences(self):
+        x, kernel, phi, up = self.make_case(32)
+        analytic = grad_weights(x, phi, up).weights
+        fd = fd_gradient(lambda wv: np.vdot(
+            conv2d_weighted(x, KernelStack(wv), phi), up), kernel.weights)
+        assert rel_err(analytic, fd) < 1e-6
+
+    def test_grad_input_matches_finite_differences(self):
+        # The conv acts on each image alone, so each image's finite
+        # differences need only that image; the analytic gradient runs on
+        # the whole batch.  First and last image of every chunk.
+        x, kernel, phi, up = self.make_case(33)
+        analytic = grad_input(kernel, phi, up, input_hw=(7, 6))
+        chunk = images_per_chunk(CHUNK_CIN, CHUNK_K, 7, 6)
+        starts = range(0, CHUNK_BATCH, chunk)
+        for m in sorted({i for s in starts
+                         for i in (s, min(s + chunk, CHUNK_BATCH) - 1)}):
+            fd = fd_gradient(lambda xv: np.vdot(
+                conv2d_weighted(xv, kernel, phi), up[m:m + 1]), x[m:m + 1])
+            assert rel_err(analytic[m:m + 1], fd) < 1e-6
+
+
+class TestLongContractions:
+    """Contractions longer than one BLAS block: 12 channels x 25 taps = 300
+    and 17 x 16 = 272 pixels, each a whole block plus a remainder."""
+
+    def test_blocked_matmul_matches_numpy(self):
+        rng = np.random.default_rng(35)
+        depth = conv._GEMM_DEPTH + 44
+        w = rng.standard_normal((3, depth))
+        stack = rng.standard_normal((2, depth, 5))
+        assert rel_err(conv._matmul(w, stack), np.matmul(w, stack)) < 1e-14
+        up = rng.standard_normal((2, 3, depth))
+        col = rng.standard_normal((2, 4, depth)).transpose(0, 2, 1)
+        assert rel_err(conv._matmul(up, col), np.matmul(up, col)) < 1e-14
+
+    def test_conv_and_weight_gradient(self):
+        rng = np.random.default_rng(36)
+        x = rng.standard_normal((2, 12, 17, 16))
+        kernel = KernelStack(rng.standard_normal((2, 12, 5, 5)),
+                             rng.standard_normal(2))
+        phi = rng.uniform(0.1, 2.0, (5, 5))
+        up = rng.standard_normal((2, 2, 17, 16))
+        assert rel_err(conv2d_weighted(x, kernel, phi),
+                       conv_oracle(x, kernel.weights, kernel.bias, phi)) < 1e-12
+        analytic = grad_weights(x, phi, up).weights
+        fd = fd_gradient(lambda wv: np.vdot(
+            conv2d_weighted(x, KernelStack(wv), phi), up), kernel.weights)
+        assert rel_err(analytic, fd) < 1e-6
+
+
+class TestMemory:
+    """Peak allocation of the chunked path: the column buffer is one
+    chunk's worth, never the whole batch's K x K windows (157 MB here)."""
+
+    SHAPE, K = (48, 16, 32, 32), 5
+
+    @staticmethod
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("op", ["conv2d", "grad_weights", "grad_input"])
+    def test_peak_stays_near_the_operand(self, op):
+        rng = np.random.default_rng(34)
+        bsz, c, rows, cols = self.SHAPE
+        x = rng.standard_normal(self.SHAPE)
+        kernel = KernelStack(rng.standard_normal((c, c, self.K, self.K)),
+                             np.zeros(c))
+        calls = {
+            "conv2d": lambda: conv2d(x, kernel),
+            "grad_weights": lambda: grad_weights(x, None, x, self.K),
+            "grad_input": lambda: grad_input(kernel, None, x, (rows, cols)),
+        }
+        # One image's columns (3.3 MB) exceed the budget, so one chunk is
+        # one image.
+        one_chunk = 8 * c * self.K * self.K * rows * cols
+        assert self.traced_peak(calls[op]) <= 3 * x.nbytes + one_chunk
 
 
 BAD_STRIDE_CALLS = {
