@@ -8,15 +8,20 @@ as it gathers the taps; the overhead benchmark (``bench``, criterion 8) times
 it.  The other operators take the density folded into the kernel once
 (``scale_kernel``, equal up to rounding), as training does every step.
 
-Every operator lowers its input to im2col columns (Chellapilla, Puri &
-Simard, 2006): for a chunk of images, the K x K strided windows of every
-channel are gathered into one (images, channels * K * K, pixels) matrix,
-which ``np.matmul`` contracts against the (filters, channels * K * K)
-kernel matrix; the transposed direction multiplies by the transposed
-kernel matrix and scatters the columns back (col2im).  The chunk holds as
-many images as fit ``_COLUMN_BYTES``, so the buffer never grows with the
-batch, and no product contracts more than ``_GEMM_DEPTH`` terms in one
-BLAS call, so results do not depend on the BLAS thread count.
+Every operator is a gather followed by ``np.matmul`` (im2col; Chellapilla,
+Puri & Simard, 2006).  For a chunk of images, the taps of every channel
+are gathered into one (images, channels * taps, pixels) matrix, which is
+contracted against the (filters, channels * taps) kernel matrix.  The
+forward pass and the weight gradient gather the K x K strided windows of
+the input.  The transposed direction (the transposed conv and the input
+gradient) is itself a direct convolution: at stride s each of the s x s
+output phases ``out[:, :, pi::s, pj::s]`` is a stride-1 conv of the
+upstream with the taps that reach that phase, channel-swapped (Dumoulin &
+Visin, 2016), so it gathers too and nothing is scattered back.  The chunk
+holds as many images as fit ``_COLUMN_BYTES``, so the buffer never grows
+with the batch.  No BLAS product contracts more than ``_GEMM_DEPTH``
+terms, so results do not depend on the BLAS thread count, and none is
+wider than ``_GEMM_WIDTH`` pixels, where threaded OpenBLAS slows down.
 """
 
 from __future__ import annotations
@@ -105,24 +110,13 @@ def _check_bias(kernel: KernelStack, channels: int) -> None:
 
 def _tap_range(offset, stride, size, out_size):
     """(output slice, input slice) of one tap offset along one axis: the
-    outputs whose tap lands inside the image and the input entries read."""
+    outputs whose tap lands inside the image and the input entries read;
+    None if the tap lands only in the padding."""
     lo = max(0, -(offset // stride))
     hi = min(out_size, (size - 1 - offset) // stride + 1)
     if hi <= lo:
-        return slice(0, 0), slice(0, 0)
+        return None
     return slice(lo, hi), slice(lo * stride + offset, (hi - 1) * stride + offset + 1, stride)
-
-
-def _taps(k, stride, rows, cols, ro, co):
-    """Yield ``(a, b, output index, input index)`` for every tap; entries
-    outside the image are the zero padding and are never read."""
-    pad = k // 2
-    row_ranges = [_tap_range(a - pad, stride, rows, ro) for a in range(k)]
-    col_ranges = [_tap_range(b - pad, stride, cols, co) for b in range(k)]
-    for a, (out_r, in_r) in enumerate(row_ranges):
-        for b, (out_c, in_c) in enumerate(col_ranges):
-            yield a, b, (slice(None), slice(None), out_r, out_c), \
-                (slice(None), slice(None), in_r, in_c)
 
 
 # Byte budget of one column buffer.  The batch is lowered a chunk of images
@@ -149,18 +143,38 @@ def _chunk(per_image_columns: int) -> int:
 # differed at K = 400; 256 leaves room for cores with a shallower block.
 _GEMM_DEPTH = 256
 
+# Widest product handed to one BLAS call, in output columns (pixels).  With
+# OpenBLAS 0.3.31 at 2 threads on a 2-core Xeon, the (1 x 25) . (25 x 36864)
+# and (1 x 49) . (49 x 36864) products of one 192 x 192 image at K = 5 and
+# 7 took 8.0 ms each; at 1 thread, or cut into products of at most 4096
+# columns, they took 0.39 and 0.73 ms.  A desk image is 4096 pixels.
+_GEMM_WIDTH = 4096
+
 
 def _matmul(a, b):
-    """``a @ b`` for stacks a (..., M, K) and b (..., K, N), summing the K
-    terms in blocks of at most ``_GEMM_DEPTH`` per BLAS product, so the
-    result does not depend on the BLAS thread count."""
+    """``a @ b`` for stacks a (..., M, K) and b (..., K, N), as products of
+    at most ``_GEMM_WIDTH`` columns that each sum their K terms in blocks of
+    at most ``_GEMM_DEPTH``, so the result does not depend on the BLAS
+    thread count and no product is too wide to run fast."""
+    width = b.shape[-1]
+    if width <= _GEMM_WIDTH:
+        return _deep_matmul(a, b)
+    out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+                   + (a.shape[-2], width))
+    for j in range(0, width, _GEMM_WIDTH):
+        out[..., j:j + _GEMM_WIDTH] = _deep_matmul(a, b[..., j:j + _GEMM_WIDTH])
+    return out
+
+
+def _deep_matmul(a, b):
+    """``a @ b`` with the K terms summed in blocks of ``_GEMM_DEPTH``."""
     depth = a.shape[-1]
     if depth <= _GEMM_DEPTH:
         return np.matmul(a, b)
     blocks, rest = divmod(depth, _GEMM_DEPTH)
     whole = blocks * _GEMM_DEPTH
-    a_blocks = np.moveaxis(
-        a[..., :whole].reshape(*a.shape[:-1], blocks, _GEMM_DEPTH), -2, -3)
+    a_blocks = a[..., :whole].reshape(*a.shape[:-1], blocks,
+                                      _GEMM_DEPTH).swapaxes(-2, -3)
     b_blocks = b[..., :whole, :].reshape(*b.shape[:-2], blocks, _GEMM_DEPTH,
                                          b.shape[-1])
     out = np.matmul(a_blocks, b_blocks).sum(axis=-3)
@@ -169,27 +183,44 @@ def _matmul(a, b):
     return out
 
 
-def _columns(x, k, stride, ro, co, density=None):
+def _columns(x, offsets, stride, ro, co, density=None):
     """Yield ``(start, columns)`` for each chunk of images of ``x``: the
-    (images, channels * K * K, ro * co) im2col matrix whose row (c, a, b)
-    is channel c's stride-``stride`` window at tap (a, b), zero outside
-    the image and scaled by ``density[a, b]`` when a density is given.
-    One buffer serves every chunk, so each matrix is valid until the next."""
+    (images, channels * Tr * Tc, ro * co) im2col matrix whose row (c, a, b)
+    holds ``x[:, c, i * stride + offsets[0][a], j * stride + offsets[1][b]]``
+    at output (i, j), for the Tr row and Tc column tap offsets in
+    ``offsets``; zero outside the image and scaled by ``density[a, b]``
+    when a density is given.  One buffer serves every chunk, so each
+    matrix is valid until the next."""
     bsz, cin, rows, cols = x.shape
-    taps = list(_taps(k, stride, rows, cols, ro, co))
-    chunk = _chunk(cin * k * k * ro * co)
+    row_offsets, col_offsets = offsets
+    row_ranges = [_tap_range(o, stride, rows, ro) for o in row_offsets]
+    col_ranges = [_tap_range(o, stride, cols, co) for o in col_offsets]
+    # Taps that land only in the padding read nothing and stay zero.
+    taps = [((slice(None), slice(None), a, b, rr[0], cr[0]),
+             (slice(None), slice(None), rr[1], cr[1]))
+            for a, rr in enumerate(row_ranges) if rr is not None
+            for b, cr in enumerate(col_ranges) if cr is not None]
+    depth = cin * len(row_offsets) * len(col_offsets)
+    chunk = _chunk(depth * ro * co)
     # Zeroed once: every chunk writes the same in-image entries.
-    buf = np.zeros((min(chunk, bsz), cin, k, k, ro, co))
+    buf = np.zeros((min(chunk, bsz), cin, len(row_offsets), len(col_offsets),
+                    ro, co))
     for s0 in range(0, bsz, chunk):
         n = min(chunk, bsz - s0)
         col, xs = buf[:n], x[s0:s0 + n]
-        for a, b, dst, src in taps:
-            np.copyto(col[:, :, a, b][dst], xs[src])
+        for dst, src in taps:
+            np.copyto(col[dst], xs[src])
         if density is not None:
             # One pass over the gathered taps: a multiply per tap, pixel
             # and channel, the weighted operator's cost over ``conv2d``.
             col *= density[:, :, None, None]
-        yield s0, col.reshape(n, cin * k * k, ro * co)
+        yield s0, col.reshape(n, depth, ro * co)
+
+
+def _centred(k):
+    """Row and column offsets of the K x K taps of a forward window."""
+    offsets = range(-(k // 2), k - k // 2)
+    return offsets, offsets
 
 
 def _forward(x, weights, density, bias, stride):
@@ -199,7 +230,7 @@ def _forward(x, weights, density, bias, stride):
     co = -(-cols // stride)
     w2 = weights.reshape(fout, cin * k * k)
     out = np.empty((bsz, fout, ro * co))
-    for s0, col in _columns(x, k, stride, ro, co, density):
+    for s0, col in _columns(x, _centred(k), stride, ro, co, density):
         out[s0:s0 + col.shape[0]] = _matmul(w2, col)
     out = out.reshape(bsz, fout, ro, co)
     if bias is not None:
@@ -225,22 +256,39 @@ def conv2d_weighted(x, kernel: KernelStack, density, stride: int = 1) -> np.ndar
     return _forward(x, kernel.weights, density, kernel.bias, stride)
 
 
-def _scatter_input(weights, upstream, rows, cols, stride):
+def _phase_taps(k, stride, phase):
+    """Taps of a K-tap kernel that reach the output phase ``phase`` of a
+    stride-``stride`` transposed conv along one axis, and their offsets
+    into the upstream: output ``phase + stride * u`` sums upstream
+    ``u + offset`` at tap ``a``."""
+    pad = k // 2
+    taps = [a for a in range(k) if (a - pad - phase) % stride == 0]
+    return taps, [(phase - a + pad) // stride for a in taps]
+
+
+def _transposed(weights, upstream, rows, cols, stride):
+    """Adjoint of the stride-``stride`` conv with ``weights``: the
+    (batch, in_channels, rows, cols) map of ``upstream``.  Each of the
+    stride x stride output phases ``out[:, :, pi::s, pj::s]`` is a stride-1
+    conv of the upstream with the phase's taps, channel-swapped (Dumoulin &
+    Visin, 2016); at stride 1 that is the whole flipped kernel."""
     bsz, fout, ro, co = upstream.shape
     _, cin, k, _ = weights.shape
-    wt = weights.reshape(fout, cin * k * k).T
-    up = upstream.reshape(bsz, fout, ro * co)
-    taps = list(_taps(k, stride, rows, cols, ro, co))
-    gx = np.zeros((bsz, cin, rows, cols))
-    chunk = _chunk(cin * k * k * ro * co)
-    for s0 in range(0, bsz, chunk):
-        n = min(chunk, bsz - s0)
-        col = _matmul(wt, up[s0:s0 + n]).reshape(n, cin, k, k, ro, co)
-        gs = gx[s0:s0 + n]
-        for a, b, dst, src in taps:
-            target = gs[src]
-            target += col[:, :, a, b][dst]
-    return gx
+    out = np.zeros((bsz, cin, rows, cols))
+    for pi in range(min(stride, rows)):
+        row_taps, row_offsets = _phase_taps(k, stride, pi)
+        for pj in range(min(stride, cols)):
+            col_taps, col_offsets = _phase_taps(k, stride, pj)
+            if not row_taps or not col_taps:
+                continue  # no tap reaches this phase: it stays zero
+            sub = weights[:, :, row_taps][:, :, :, col_taps]
+            w2 = sub.transpose(1, 0, 2, 3).reshape(cin, -1)
+            phase = out[:, :, pi::stride, pj::stride]
+            pr, pc = phase.shape[2:]
+            for s0, col in _columns(upstream, (row_offsets, col_offsets), 1, pr, pc):
+                n = col.shape[0]
+                phase[s0:s0 + n] = _matmul(w2, col).reshape(n, cin, pr, pc)
+    return out
 
 
 def conv2d_transposed_weighted(y, kernel: KernelStack, density=None,
@@ -254,8 +302,8 @@ def conv2d_transposed_weighted(y, kernel: KernelStack, density=None,
     y = _check_operand(y, kernel.filters, upsample, step_name="upsample factor")
     _check_bias(kernel, kernel.in_channels)
     weights = kernel.weights if density is None else scale_kernel(kernel, density).weights
-    out = _scatter_input(weights, y, y.shape[2] * upsample, y.shape[3] * upsample,
-                         upsample)
+    out = _transposed(weights, y, y.shape[2] * upsample, y.shape[3] * upsample,
+                      upsample)
     if kernel.bias is not None:
         out += kernel.bias[:, None, None]
     return out
@@ -293,7 +341,7 @@ def grad_weights(x, density, upstream, k: int | None = None,
         raise ShapeError(f"upstream spatial {ro}x{co} inconsistent with stride {stride}")
     up = upstream.reshape(bsz, fout, ro * co)
     gw = np.zeros((fout, cin * k * k))
-    for s0, col in _columns(x, k, stride, ro, co):
+    for s0, col in _columns(x, _centred(k), stride, ro, co):
         per_image = _matmul(up[s0:s0 + col.shape[0]], col.transpose(0, 2, 1))
         gw += per_image.sum(axis=0)
     gw = gw.reshape(fout, cin, k, k)
@@ -312,7 +360,7 @@ def grad_input(kernel: KernelStack, density, upstream, input_hw=None,
     rows, cols = input_hw
     if -(-rows // stride) != upstream.shape[2] or -(-cols // stride) != upstream.shape[3]:
         raise ShapeError(f"input size {rows}x{cols} inconsistent with upstream/stride")
-    return _scatter_input(weights, upstream, rows, cols, stride)
+    return _transposed(weights, upstream, rows, cols, stride)
 
 
 def grad_density(x, kernel: KernelStack, upstream, stride: int = 1) -> np.ndarray:

@@ -430,6 +430,136 @@ class TestLongContractions:
         assert rel_err(analytic, fd) < 1e-6
 
 
+# Stride and kernel extent of the phase-gather cases, and the input sizes
+# of the input-gradient cases: sides that are multiples of the stride,
+# 7 x 5, which at strides 2 and 3 makes the phases differ in size, and
+# 1 x 2, which leaves some phases without a pixel.  At K = 1 and stride 2
+# no tap reaches the odd phases.
+PHASE_STRIDES_KS = [(s, k) for s in (1, 2, 3) for k in (3, 5, 7)] + [(2, 1)]
+PHASE_CASES = [(s, k, hw) for s, k in PHASE_STRIDES_KS
+               for hw in ((7, 5), (2 * s, 3 * s), (1, 2))]
+
+
+class TestPhaseGather:
+    """The transposed direction as one stride-1 conv per output phase."""
+
+    @pytest.mark.parametrize("stride,k", PHASE_STRIDES_KS)
+    def test_transposed_is_adjoint_of_oracle(self, stride, k):
+        rng = np.random.default_rng(40)
+        x = rng.standard_normal((2, 2, 4 * stride, 3 * stride))
+        kernel = KernelStack(rng.standard_normal((3, 2, k, k)))
+        phi = rng.uniform(0.1, 2.0, (k, k))
+        y = rng.standard_normal((2, 3, 4, 3))
+        lhs = np.vdot(conv_oracle(x, kernel.weights, None, phi, stride), y)
+        rhs = np.vdot(x, conv2d_transposed_weighted(y, kernel, phi, stride))
+        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+
+    @pytest.mark.parametrize("stride,k,hw", PHASE_CASES)
+    def test_grad_input_is_adjoint_of_oracle(self, stride, k, hw):
+        rng = np.random.default_rng(41)
+        x = rng.standard_normal((2, 2) + hw)
+        kernel = KernelStack(rng.standard_normal((3, 2, k, k)))
+        phi = rng.uniform(0.1, 2.0, (k, k))
+        fwd = conv_oracle(x, kernel.weights, None, phi, stride)
+        up = rng.standard_normal(fwd.shape)
+        lhs = np.vdot(fwd, up)
+        rhs = np.vdot(x, grad_input(kernel, phi, up, hw, stride))
+        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+
+    @pytest.mark.parametrize("stride,k,hw", PHASE_CASES)
+    def test_grad_input_matches_finite_differences(self, stride, k, hw):
+        rng = np.random.default_rng(42)
+        x = rng.standard_normal((2, 2) + hw)
+        kernel = KernelStack(rng.standard_normal((3, 2, k, k)))
+        phi = rng.uniform(0.1, 2.0, (k, k))
+        up = rng.standard_normal(conv2d(x, kernel, stride).shape)
+        analytic = grad_input(kernel, phi, up, hw, stride)
+        fd = fd_gradient(lambda xv: np.vdot(
+            conv2d_weighted(xv, kernel, phi, stride), up), x)
+        assert rel_err(analytic, fd) < 1e-6
+
+    # 60 images of 15 x 13 at stride 2, 32 filters, K = 5: the four phases
+    # have 3 x 3, 3 x 2, 2 x 3 and 2 x 2 taps over 8 x 7, 8 x 6, 7 x 7 and
+    # 7 x 6 pixels, so every phase's columns span at least 3 chunks.
+    BATCH, FOUT, K, STRIDE, HW = 60, 32, 5, 2, (15, 13)
+
+    def phase_chunks(self):
+        """Images per chunk of each phase's columns."""
+        chunks = []
+        for pi in range(self.STRIDE):
+            for pj in range(self.STRIDE):
+                row_taps, _ = conv._phase_taps(self.K, self.STRIDE, pi)
+                col_taps, _ = conv._phase_taps(self.K, self.STRIDE, pj)
+                pixels = (len(range(pi, self.HW[0], self.STRIDE))
+                          * len(range(pj, self.HW[1], self.STRIDE)))
+                chunks.append(conv._chunk(
+                    self.FOUT * len(row_taps) * len(col_taps) * pixels))
+        return chunks
+
+    def test_batch_spans_three_chunks_in_every_phase(self):
+        assert all(self.BATCH > 2 * chunk for chunk in self.phase_chunks())
+
+    def test_chunked_phases(self):
+        rng = np.random.default_rng(43)
+        x = rng.standard_normal((self.BATCH, 1) + self.HW)
+        kernel = KernelStack(rng.standard_normal((self.FOUT, 1, self.K, self.K)))
+        phi = rng.uniform(0.1, 2.0, (self.K, self.K))
+        up = rng.standard_normal(conv2d(x, kernel, self.STRIDE).shape)
+        # The transposed conv is the adjoint of the oracle-tested forward.
+        x_even = rng.standard_normal((self.BATCH, 1, 2 * up.shape[2], 2 * up.shape[3]))
+        lhs = np.vdot(conv2d_weighted(x_even, kernel, phi, self.STRIDE), up)
+        rhs = np.vdot(x_even, conv2d_transposed_weighted(up, kernel, phi, self.STRIDE))
+        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+        # The conv acts on each image alone, so each image's finite
+        # differences need only that image.  First and last image of every
+        # chunk of every phase.
+        analytic = grad_input(kernel, phi, up, self.HW, self.STRIDE)
+        edges = {i for chunk in self.phase_chunks()
+                 for s0 in range(0, self.BATCH, chunk)
+                 for i in (s0, min(s0 + chunk, self.BATCH) - 1)}
+        for m in sorted(edges):
+            fd = fd_gradient(lambda xv: np.vdot(
+                conv2d_weighted(xv, kernel, phi, self.STRIDE), up[m:m + 1]),
+                x[m:m + 1])
+            assert rel_err(analytic[m:m + 1], fd) < 1e-6
+
+
+class TestGemmWidth:
+    """Criterion 8 times one 192 x 192 image; its products must be cut to
+    ``_GEMM_WIDTH`` columns, where OpenBLAS runs them fast at any thread
+    count."""
+
+    @pytest.mark.parametrize("k", [3, 5, 7])
+    def test_no_product_is_wider_than_the_bound(self, k, monkeypatch):
+        rng = np.random.default_rng(44)
+        x = rng.standard_normal((1, 1, 192, 192))
+        kernel = KernelStack(rng.standard_normal((1, 1, k, k)))
+        phi = rng.uniform(0.1, 2.0, (k, k))
+        widths = []
+        matmul = np.matmul
+
+        def recording(a, b):
+            widths.append(np.shape(b)[-1])
+            return matmul(a, b)
+
+        monkeypatch.setattr(np, "matmul", recording)
+        conv2d(x, kernel)
+        conv2d_weighted(x, kernel, phi)
+        monkeypatch.undo()
+        assert widths and max(widths) <= conv._GEMM_WIDTH
+        assert sum(widths) == 2 * 192 * 192
+
+    def test_wide_matmul_matches_numpy(self):
+        rng = np.random.default_rng(45)
+        width = 2 * conv._GEMM_WIDTH + 37
+        a = rng.standard_normal((3, 20))
+        b = rng.standard_normal((2, 20, width))
+        assert rel_err(conv._matmul(a, b), np.matmul(a, b)) < 1e-14
+        deep = rng.standard_normal((2, conv._GEMM_DEPTH + 44))
+        wide = rng.standard_normal((conv._GEMM_DEPTH + 44, conv._GEMM_WIDTH + 5))
+        assert rel_err(conv._matmul(deep, wide), np.matmul(deep, wide)) < 1e-14
+
+
 class TestMemory:
     """Peak allocation of the chunked path: the column buffer is one
     chunk's worth, never the whole batch's K x K windows (157 MB here)."""

@@ -267,6 +267,73 @@ class TestSgdTrain:
         assert all(np.isfinite(v) and v >= 0 for v in report.epoch_losses)
 
 
+def reference_losses(dataset, cfg):
+    """Losses of a loop that runs a separate initial pass and a forward pass
+    on copied rows at every step: (initial, epoch losses, final)."""
+    x = np.stack([p[0] for p in dataset])[:, None]
+    t = np.stack([p[1] for p in dataset])[:, None]
+    n = x.shape[0]
+    batch = min(cfg.batch_size or n, n)
+    net = DenoiseNet(cfg)
+    rng = np.random.default_rng([cfg.seed, 7919])
+    initial = mse_loss(net.forward(x), t)
+    epoch_losses = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n) if batch < n else np.arange(n)
+        total = 0.0
+        for s0 in range(0, n, batch):
+            idx = order[s0:s0 + batch]
+            pred = net.forward(x[idx])
+            total += mse_loss(pred, t[idx]) * len(idx)
+            net.backward(mse_grad(pred, t[idx]))
+            for p, g in zip(net.params(), net.grads()):
+                p -= cfg.learning_rate * g
+        epoch_losses.append(total / n)
+    return initial, epoch_losses, mse_loss(net.forward(x), t)
+
+
+class TestForwardPasses:
+    """A full-batch step reuses the initial pass; a minibatch run keeps it.
+    Recorded losses: 6 images of 12 x 12, c=2, K=3, stride 2, gaussian
+    density, 3 epochs, lr 0.05, seed 1, from the trainer that ran
+    ``epochs + 2`` passes.  The transposed conv's phase gather has since
+    reordered its sums, which moved them by at most 2 ulp (3.4e-16)."""
+
+    RECORDED = {
+        None: (0.3910250990960153,
+               [0.3910250990960153, 0.3554297953394239, 0.3277934773615024],
+               0.3062291140389377),
+        4: (0.3910250990960153,
+            [0.3846552277107713, 0.31790631957604065, 0.28779813435268425],
+            0.2657339877625625),
+    }
+
+    @pytest.mark.parametrize("batch_size,passes", [(None, 3 + 1),
+                                                   (4, 3 * 2 + 2)])
+    def test_forward_passes_and_losses(self, batch_size, passes, monkeypatch):
+        data = tiny_dataset(n=6, size=12, seed=3)
+        cfg = ModelConfig(channels=2, kernel=3, stride=2, epochs=3,
+                          learning_rate=0.05, seed=1, batch_size=batch_size,
+                          density=density_matrix(named_density("gaussian", 3)))
+        expected = reference_losses(data, cfg)
+        calls = []
+        forward = DenoiseNet.forward
+
+        def counted(net, x):
+            calls.append(x.shape[0])
+            return forward(net, x)
+
+        monkeypatch.setattr(DenoiseNet, "forward", counted)
+        report = sgd_train(data, cfg)
+        assert len(calls) == passes
+        got = (report.initial_loss, report.epoch_losses, report.final_loss)
+        assert got == expected
+        initial, epochs, final = self.RECORDED[batch_size]
+        np.testing.assert_allclose(report.initial_loss, initial, rtol=1e-12)
+        np.testing.assert_allclose(report.epoch_losses, epochs, rtol=1e-12)
+        np.testing.assert_allclose(report.final_loss, final, rtol=1e-12)
+
+
 class TestModelConfigValidation:
     def test_zero_epochs_rejected(self):
         with pytest.raises(ValueError):
