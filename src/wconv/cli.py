@@ -19,12 +19,12 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from .density import (density_from_free, density_from_record,
                       density_matrix, density_record, named_density, FAMILIES)
 from .errors import DivergenceError, FormatError, SearchDivergedError
-from .experiments import (SWEEP_AXES, DatasetSpec, OuterResult,
+from .experiments import (HOLDOUT_FRACTION, SWEEP_AXES, DatasetSpec, OuterResult,
                           bench_overhead, build_direct_config,
                           compare_densities, gen_dataset, optimize_density,
                           split_dataset, sweep_hyperparams)
@@ -32,7 +32,20 @@ from .network import ModelConfig, sgd_train
 from .spectral import run_verification
 from .tensors import tensor_read, tensor_write
 
-DEFAULT_FAMILIES = ("uniform", "linear", "gaussian", "cubic", "optimal")
+COMPARE_FAMILIES = (*FAMILIES, "optimal")
+
+# Every dataset, model and DIRECT setting and the type of its value.  Each
+# is a key of its config section and a flag of the subcommands that read the
+# section (n_images is --n-images, learning_rate is --lr); a flag given
+# overrides the config.  No seed: --seed (default 0) seeds data and model.
+SETTINGS = {
+    "dataset": {"n_images": int, "rows": int, "cols": int,
+                "noise_sigma": float, "smoothness": float},
+    "model": {"kernel": int, "channels": int, "stride": int, "epochs": int,
+              "learning_rate": float, "batch_size": int},
+    "direct": {"max_evals": int, "max_iters": int, "f_tol": float,
+               "epsilon": float, "alpha_lo": float, "alpha_hi": float},
+}
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -115,6 +128,14 @@ def _float_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip()]
 
 
+def _add_setting_flags(p, *sections, kernel_required=False) -> None:
+    for section in sections:
+        for key, kind in SETTINGS[section].items():
+            flag = "--lr" if key == "learning_rate" else "--" + key.replace("_", "-")
+            p.add_argument(flag, dest=key, type=kind, default=None,
+                           required=kernel_required and key == "kernel")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wconv",
@@ -129,35 +150,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "Python thread")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_dataset_flags(p):
-        p.add_argument("--n-images", type=int, default=None)
-        p.add_argument("--rows", type=int, default=None)
-        p.add_argument("--cols", type=int, default=None)
-        p.add_argument("--noise-sigma", type=float, default=None)
-        p.add_argument("--smoothness", type=float, default=None)
-
-    def add_model_flags(p, kernel_required=False):
-        p.add_argument("--kernel", type=int, default=None, required=kernel_required)
-        p.add_argument("--channels", type=int, default=None)
-        p.add_argument("--stride", type=int, default=None)
-        p.add_argument("--epochs", type=int, default=None)
-        p.add_argument("--lr", type=float, default=None)
-        p.add_argument("--batch-size", type=int, default=None)
-
-    def add_direct_flags(p):
-        p.add_argument("--max-evals", type=int, default=None)
-        p.add_argument("--max-iters", type=int, default=None)
-        p.add_argument("--f-tol", type=float, default=None)
-        p.add_argument("--epsilon", type=float, default=None)
-        p.add_argument("--alpha-lo", type=float, default=None)
-        p.add_argument("--alpha-hi", type=float, default=None)
-
     p = sub.add_parser("gen-data", help="write a synthetic denoising dataset")
-    add_dataset_flags(p)
+    _add_setting_flags(p, "dataset")
 
     p = sub.add_parser("train", help="train the model once with a fixed density")
-    add_dataset_flags(p)
-    add_model_flags(p)
+    _add_setting_flags(p, "dataset", "model")
     p.add_argument("--data-dir", default=None, help="read WCT1 pairs instead of generating")
     p.add_argument("--density-family", choices=FAMILIES, default=None)
     p.add_argument("--alpha", default=None,
@@ -165,23 +162,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density-file", default=None, help="JSON density record")
 
     p = sub.add_parser("optimize-density", help="nested search for the optimal density")
-    add_dataset_flags(p)
-    add_model_flags(p, kernel_required=True)
-    add_direct_flags(p)
+    _add_setting_flags(p, "dataset", "model", "direct", kernel_required=True)
     p.add_argument("--format", choices=("csv", "text"), default="csv")
 
     p = sub.add_parser("sweep", help="repeat the optimization along one hyperparameter axis")
-    add_dataset_flags(p)
-    add_model_flags(p)
-    add_direct_flags(p)
+    _add_setting_flags(p, "dataset", "model", "direct")
     p.add_argument("--axis", required=True, choices=SWEEP_AXES)
     p.add_argument("--values", required=True, type=_int_list)
 
     p = sub.add_parser("compare-densities", help="train once per density family")
-    add_dataset_flags(p)
-    add_model_flags(p, kernel_required=True)
-    add_direct_flags(p)
-    p.add_argument("--families", default=",".join(DEFAULT_FAMILIES))
+    _add_setting_flags(p, "dataset", "model", "direct", kernel_required=True)
+    p.add_argument("--families", default=",".join(COMPARE_FAMILIES))
 
     p = sub.add_parser("bench", help="time the weighted vs the standard convolution")
     p.add_argument("--kernels", type=_int_list, default=[3, 5, 7])
@@ -196,30 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge(section: dict, **flags) -> dict:
-    merged = dict(section)
-    for key, value in flags.items():
-        if value is not None:
-            merged[key] = value
-    return merged
-
-
-_INT, _NUMBER = (int,), (int, float)
-# The keys each config section may hold and the types of their values, as
-# _dataset_spec, _model_cfg and _direct_opts read them (density_from_record
-# checks "density").  No seed key: --seed (default 0) seeds data and model.
-_CONFIG_KEYS = {
-    "dataset": {"n_images": _INT, "rows": _INT, "cols": _INT,
-                "noise_sigma": _NUMBER, "smoothness": _NUMBER},
-    "model": {"channels": _INT, "stride": _INT, "kernel": _INT, "epochs": _INT,
-              "learning_rate": _NUMBER, "batch_size": (int, type(None)),
-              "bn_eps": _NUMBER},
-    "direct": {"max_evals": _INT, "max_iters": _INT, "f_tol": _NUMBER,
-               "epsilon": _NUMBER, "alpha_lo": _NUMBER, "alpha_hi": _NUMBER,
-               "bounds": (list,)},
-}
-
-
 def _check_config(config) -> None:
     """Reject a section or key that nothing reads, or a value of the wrong type."""
     if not isinstance(config, dict):
@@ -228,17 +195,19 @@ def _check_config(config) -> None:
         if name == "density":
             density_from_record(section)
             continue
-        if name not in _CONFIG_KEYS:
+        if name not in SETTINGS:
             raise ValueError(f"unknown config section {name!r}, expected one of "
-                             f"{sorted([*_CONFIG_KEYS, 'density'])}")
+                             f"{sorted([*SETTINGS, 'density'])}")
         if not isinstance(section, dict):
             raise ValueError(f"config section {name!r} must be a JSON object")
         for key, value in section.items():
-            types = _CONFIG_KEYS[name].get(key)
-            if types is None:
+            kind = SETTINGS[name].get(key)
+            if kind is None:
                 raise ValueError(f"unknown key {key!r} in config section {name!r}, "
-                                 f"expected one of {sorted(_CONFIG_KEYS[name])}")
-            if isinstance(value, bool) or not isinstance(value, types):
+                                 f"expected one of {sorted(SETTINGS[name])}")
+            types = (int,) if kind is int else (int, float)
+            if value is not None and (isinstance(value, bool)
+                                      or not isinstance(value, types)):
                 raise ValueError(f"config value {name}.{key} = {value!r} "
                                  "has the wrong type")
 
@@ -252,31 +221,31 @@ def _load_config(path) -> dict:
     return config
 
 
+def _settings(args, config, section) -> dict:
+    """``section``'s settings from the config, overridden by the flags given;
+    a setting that neither gives, or that the config sets to null, is left
+    out so that it keeps its default."""
+    merged = dict(config.get(section, {}))
+    merged.update((key, getattr(args, key)) for key in SETTINGS[section]
+                  if getattr(args, key) is not None)
+    return {key: value for key, value in merged.items() if value is not None}
+
+
 def _dataset_spec(args, config, seed) -> DatasetSpec:
-    section = _merge(config.get("dataset", {}), n_images=args.n_images,
-                     rows=args.rows, cols=args.cols, noise_sigma=args.noise_sigma,
-                     smoothness=args.smoothness, seed=seed)
-    return DatasetSpec(**section)
+    return DatasetSpec(seed=seed, **_settings(args, config, "dataset"))
 
 
-def _model_cfg(args, config, seed, density=None) -> ModelConfig:
-    section = _merge(config.get("model", {}), channels=args.channels,
-                     stride=args.stride, kernel=args.kernel, epochs=args.epochs,
-                     learning_rate=args.lr, batch_size=args.batch_size, seed=seed)
-    return ModelConfig(density=density, **section)
+def _model_cfg(args, config, seed) -> ModelConfig:
+    return ModelConfig(seed=seed, **_settings(args, config, "model"))
 
 
-def _direct_opts(args, config) -> dict:
-    section = _merge(config.get("direct", {}), max_evals=args.max_evals,
-                     max_iters=args.max_iters, f_tol=args.f_tol,
-                     epsilon=args.epsilon)
-    lo = args.alpha_lo if args.alpha_lo is not None else section.pop("alpha_lo", None)
-    hi = args.alpha_hi if args.alpha_hi is not None else section.pop("alpha_hi", None)
-    if (lo is None) != (hi is None):
-        raise ValueError("--alpha-lo and --alpha-hi must be given together")
-    if lo is not None:
-        section["bounds"] = (lo, hi)
-    return section
+def _search(args, config, cfg, dataset, out_dir) -> OuterResult:
+    """The nested density search on ``dataset``; writes optimal_density.json."""
+    direct_cfg = build_direct_config(cfg.kernel, **_settings(args, config, "direct"))
+    result = optimize_density(cfg.kernel, cfg, direct_cfg, dataset)
+    _atomic_write(os.path.join(out_dir, "optimal_density.json"),
+                  json.dumps(density_record(result.alpha), sort_keys=True) + "\n")
+    return result
 
 
 def _resolve_density(args, config, kernel):
@@ -315,11 +284,8 @@ def _cmd_gen_data(args, config, seed, out_dir) -> int:
     for i, (noisy, clean) in enumerate(pairs):
         tensor_write(noisy, os.path.join(out_dir, f"noisy_{i:03d}.wct"))
         tensor_write(clean, os.path.join(out_dir, f"clean_{i:03d}.wct"))
-    record = {"n_images": spec.n_images, "rows": spec.rows, "cols": spec.cols,
-              "noise_sigma": spec.noise_sigma, "smoothness": spec.smoothness,
-              "seed": spec.seed}
     _atomic_write(os.path.join(out_dir, "dataset.json"),
-                  json.dumps(record, indent=2, sort_keys=True) + "\n")
+                  json.dumps(asdict(spec), indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(pairs)} image pairs to {out_dir}")
     return 0
 
@@ -333,10 +299,9 @@ def _cmd_train(args, config, seed, out_dir) -> int:
                else gen_dataset(_dataset_spec(args, config, seed)))
     report = sgd_train(dataset, cfg)
     alpha = " ".join(repr(float(v)) for v in vec.values) if vec is not None else "uniform"
-    row = {"seed": report.seed, "kernel": report.kernel, "alpha": alpha,
-           "epochs": report.epochs, "lr": report.learning_rate,
-           "stride": report.stride, "channels": report.channels,
-           "final_loss": report.final_loss}
+    row = {"seed": cfg.seed, "kernel": cfg.kernel, "alpha": alpha,
+           "epochs": cfg.epochs, "lr": cfg.learning_rate, "stride": cfg.stride,
+           "channels": cfg.channels, "final_loss": report.final_loss}
     write_csv(os.path.join(out_dir, "train_report.csv"), [row], list(row))
     write_csv(os.path.join(out_dir, "losses.csv"),
               [{"epoch": i + 1, "loss": loss}
@@ -349,15 +314,12 @@ def _cmd_train(args, config, seed, out_dir) -> int:
 
 def _cmd_optimize(args, config, seed, out_dir) -> int:
     cfg = _model_cfg(args, config, seed)
-    dataset = gen_dataset(_dataset_spec(args, config, seed))
-    direct_cfg = build_direct_config(cfg.kernel, **_direct_opts(args, config))
-    result = optimize_density(cfg.kernel, cfg, direct_cfg, dataset)
+    result = _search(args, config, cfg,
+                     gen_dataset(_dataset_spec(args, config, seed)), out_dir)
     emit_report(result, "csv", os.path.join(out_dir, "outer_result.csv"))
     if args.format == "text":
         emit_report(result, "text", os.path.join(out_dir, "summary.txt"))
     _write_trace(os.path.join(out_dir, "trace.csv"), result.trace)
-    _atomic_write(os.path.join(out_dir, "optimal_density.json"),
-                  json.dumps(density_record(result.alpha), sort_keys=True) + "\n")
     print("alpha: " + " ".join(f"{v:.4f}" for v in result.alpha.values)
           + f"  improvement: {100.0 * result.improvement:.1f}%"
           + f"  evals: {result.evals}")
@@ -370,7 +332,8 @@ def _cmd_sweep(args, config, seed, out_dir) -> int:
     if args.axis == "stride":
         print("note: image size is held fixed while the stride varies")
     rows = sweep_hyperparams(args.axis, args.values, spec, cfg,
-                             k=cfg.kernel, direct_opts=_direct_opts(args, config))
+                             k=cfg.kernel,
+                             direct_opts=_settings(args, config, "direct"))
     n_free = (cfg.kernel - 1) // 2
     fields = (["axis", "axis_value"] + [f"alpha_{i}" for i in range(1, n_free + 1)]
               + ["objective", "baseline", "improvement", "error"])
@@ -384,16 +347,15 @@ def _cmd_sweep(args, config, seed, out_dir) -> int:
 
 def _cmd_compare(args, config, seed, out_dir) -> int:
     cfg = _model_cfg(args, config, seed)
-    dataset = gen_dataset(_dataset_spec(args, config, seed))
     families = [f.strip() for f in args.families.split(",") if f.strip()]
+    if not families or not set(families) <= set(COMPARE_FAMILIES):
+        raise ValueError(f"--families {args.families!r} must name one or more of "
+                         f"{', '.join(COMPARE_FAMILIES)}")
+    dataset = gen_dataset(_dataset_spec(args, config, seed))
     optimal = None
     if "optimal" in families:
-        train_split, _ = split_dataset(dataset, 0.2, cfg.seed)
-        direct_cfg = build_direct_config(cfg.kernel, **_direct_opts(args, config))
-        outer = optimize_density(cfg.kernel, cfg, direct_cfg, train_split)
-        optimal = outer.alpha
-        _atomic_write(os.path.join(out_dir, "optimal_density.json"),
-                      json.dumps(density_record(optimal), sort_keys=True) + "\n")
+        train_split, _ = split_dataset(dataset, HOLDOUT_FRACTION, cfg.seed)
+        optimal = _search(args, config, cfg, train_split, out_dir).alpha
     rows = compare_densities(families, cfg.kernel, cfg, dataset, optimal=optimal)
     write_csv(os.path.join(out_dir, "compare.csv"), rows,
               ["family", "alpha", "final_loss", "holdout_mse"])

@@ -50,6 +50,9 @@ class KernelStack:
         w = np.asarray(self.weights, dtype=np.float64)
         if w.ndim != 4:
             raise ShapeError(f"weights must be 4-D, got rank {w.ndim}")
+        if w.shape[0] == 0 or w.shape[1] == 0:
+            raise ShapeError(f"weights need at least one filter and one input "
+                             f"channel, got shape {w.shape}")
         if w.shape[2] != w.shape[3]:
             raise ShapeError(f"kernel must be square, got {w.shape[2]}x{w.shape[3]}")
         if w.shape[2] % 2 == 0:
@@ -96,6 +99,8 @@ def _check_operand(x, channels: int | None, step, name: str = "input",
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 4:
         raise ShapeError(f"{name} must be (batch, channel, row, col), got rank {x.ndim}")
+    if 0 in x.shape:
+        raise ShapeError(f"{name} has an empty extent: shape {x.shape}")
     if channels is not None and x.shape[1] != channels:
         raise ShapeError(f"{name} has {x.shape[1]} channels, kernel expects {channels}")
     if not isinstance(step, (int, np.integer)) or step < 1:

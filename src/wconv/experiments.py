@@ -48,12 +48,12 @@ def _lowpass(grid: np.ndarray, cutoff: float) -> np.ndarray:
     return np.real(np.fft.ifft2(np.fft.fft2(grid) * gain))
 
 
-def gen_dataset(spec: DatasetSpec, clamp: bool = True):
+def gen_dataset(spec: DatasetSpec):
     """Seeded (noisy, clean) image pairs.
 
     Clean images are low-pass-filtered white noise rescaled to [0, 1];
     noisy ones add zero-mean Gaussian noise of the requested deviation,
-    clipped back to [0, 1] unless ``clamp`` is off.
+    clipped back to [0, 1].
     """
     rng = np.random.default_rng(spec.seed)
     pairs = []
@@ -63,9 +63,7 @@ def gen_dataset(spec: DatasetSpec, clamp: bool = True):
         lo, hi = smooth.min(), smooth.max()
         clean = (smooth - lo) / (hi - lo) if hi > lo else np.zeros_like(smooth)
         noisy = clean + rng.standard_normal(clean.shape) * spec.noise_sigma
-        if clamp:
-            noisy = np.clip(noisy, 0.0, 1.0)
-        pairs.append((noisy, clean))
+        pairs.append((np.clip(noisy, 0.0, 1.0), clean))
     return pairs
 
 
@@ -89,8 +87,15 @@ def default_alpha_bounds(k: int) -> tuple[float, float]:
 
 def build_direct_config(k: int, max_evals: int = 60, max_iters: int = 40,
                         f_tol: float = 1e-6, epsilon: float = 1e-4,
-                        bounds: tuple[float, float] | None = None) -> DirectConfig:
-    lo, hi = bounds if bounds is not None else default_alpha_bounds(k)
+                        alpha_lo: float | None = None,
+                        alpha_hi: float | None = None) -> DirectConfig:
+    """DIRECT over the free coefficients, each in [alpha_lo, alpha_hi]
+    (default ``default_alpha_bounds(k)``), checked before any training."""
+    if (alpha_lo is None) != (alpha_hi is None):
+        raise ValueError("alpha_lo and alpha_hi must be given together")
+    lo, hi = (alpha_lo, alpha_hi) if alpha_lo is not None else default_alpha_bounds(k)
+    if lo < 0:
+        raise ValueError(f"alpha_lo must be >= 0, got {lo!r}")
     n_free = (k - 1) // 2
     return DirectConfig(np.full(n_free, lo), np.full(n_free, hi),
                         f_tol=f_tol, max_evals=max_evals, max_iters=max_iters,
@@ -189,7 +194,7 @@ def sweep_hyperparams(axis: str, values, dataset_spec: DatasetSpec,
         raise ValueError(f"unknown sweep axis {axis!r}, expected one of {SWEEP_AXES}")
     if len(values) == 0:
         raise ValueError("sweep needs at least one value")
-    direct_opts = direct_opts or {}
+    direct_cfg = build_direct_config(k, **(direct_opts or {}))
     rows = []
     for value in sorted(values):
         try:
@@ -204,15 +209,20 @@ def sweep_hyperparams(axis: str, values, dataset_spec: DatasetSpec,
                 ds = replace(ds, n_images=int(value))
             else:
                 ds = replace(ds, rows=int(value), cols=int(value))
-            result = optimize_density(k, mc, build_direct_config(k, **direct_opts),
-                                      gen_dataset(ds))
+            result = optimize_density(k, mc, direct_cfg, gen_dataset(ds))
             rows.append(_outer_row(axis, value, result))
         except (DivergenceError, SearchDivergedError, ValueError) as exc:
             rows.append(_outer_row(axis, value, None, error=str(exc)))
     return rows
 
 
-def split_dataset(dataset, holdout_fraction: float = 0.2, seed: int = 0):
+# Share of a dataset held out from training when densities are compared;
+# compare-densities searches the optimal density on the rest.
+HOLDOUT_FRACTION = 0.2
+
+
+def split_dataset(dataset, holdout_fraction: float = HOLDOUT_FRACTION,
+                  seed: int = 0):
     """Deterministic train/holdout split; at least one image held out."""
     n = len(dataset)
     order = np.random.default_rng([seed, 131]).permutation(n)
@@ -223,15 +233,15 @@ def split_dataset(dataset, holdout_fraction: float = 0.2, seed: int = 0):
 
 
 def compare_densities(families, k: int, model_cfg: ModelConfig, dataset,
-                      optimal: DensityVector | None = None,
-                      holdout_fraction: float = 0.2) -> list[dict]:
+                      optimal: DensityVector | None = None) -> list[dict]:
     """Train the model once per density family under identical seeds.
 
     ``families`` draws from the named families plus "optimal", which
     requires the vector from a prior density optimization.  Reports the
-    final training loss and the mean squared error on a held-out split.
+    final training loss and the mean squared error on the held-out
+    ``HOLDOUT_FRACTION`` of the images.
     """
-    train, hold = split_dataset(dataset, holdout_fraction, model_cfg.seed)
+    train, hold = split_dataset(dataset, HOLDOUT_FRACTION, model_cfg.seed)
     hx = np.stack([p[0] for p in hold])[:, None, :, :]
     ht = np.stack([p[1] for p in hold])[:, None, :, :]
     rows = []
@@ -254,10 +264,10 @@ def compare_densities(families, k: int, model_cfg: ModelConfig, dataset,
     return rows
 
 
-def _interleaved_medians_ms(fns, repeats: int, warmup: int = 2) -> list[float]:
-    # One round times every callable back to back, so cache state and
-    # background load hit all of them alike.
-    for _ in range(warmup):
+def _interleaved_medians_ms(fns, repeats: int) -> list[float]:
+    # Two warm-up rounds, then one round times every callable back to back,
+    # so cache state and background load hit all of them alike.
+    for _ in range(2):
         for fn in fns:
             fn()
     times = [[] for _ in fns]

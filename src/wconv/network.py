@@ -33,7 +33,6 @@ class ModelConfig:
     learning_rate: float = 0.01
     batch_size: int | None = None
     seed: int = 0
-    bn_eps: float = 1e-5
 
     def __post_init__(self):
         if self.channels < 1:
@@ -82,10 +81,11 @@ def mse_grad(pred, target) -> np.ndarray:
 class BatchNorm2d:
     """Per-channel normalisation over (batch, row, col), training statistics."""
 
-    def __init__(self, channels: int, eps: float = 1e-5):
+    EPS = 1e-5  # added to the variance before its square root
+
+    def __init__(self, channels: int):
         self.gamma = np.ones(channels)
         self.beta = np.zeros(channels)
-        self.eps = eps
         self.grad_gamma = np.zeros(channels)
         self.grad_beta = np.zeros(channels)
         self._xhat = None
@@ -99,7 +99,7 @@ class BatchNorm2d:
             )
         xhat = x - x.mean(axis=(0, 2, 3), keepdims=True)
         var = np.einsum("bcij,bcij->c", xhat, xhat)[:, None, None] / count
-        self._inv_std = 1.0 / np.sqrt(var + self.eps)
+        self._inv_std = 1.0 / np.sqrt(var + self.EPS)
         xhat *= self._inv_std
         self._xhat = xhat
         out = xhat * self.gamma[:, None, None]
@@ -188,9 +188,9 @@ class DenoiseNet:
         self.conv1 = _WeightedConv(KernelStack(w1, np.zeros(c)), density, s)
         self.conv2 = _WeightedConv(KernelStack(w2, np.zeros(c)), density, 1)
         self.conv3 = _TransposedWeightedConv(KernelStack(w3, np.zeros(1)), density, s)
-        self.bn1 = BatchNorm2d(c, cfg.bn_eps)
-        self.bn2 = BatchNorm2d(c, cfg.bn_eps)
-        self.bn3 = BatchNorm2d(1, cfg.bn_eps)
+        self.bn1 = BatchNorm2d(c)
+        self.bn2 = BatchNorm2d(c)
+        self.bn3 = BatchNorm2d(1)
         self._masks = [None, None, None]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -241,12 +241,6 @@ class DenoiseNet:
 
 @dataclass
 class TrainReport:
-    seed: int
-    kernel: int
-    epochs: int
-    learning_rate: float
-    stride: int
-    channels: int
     batch_size: int
     initial_loss: float
     final_loss: float
@@ -314,10 +308,7 @@ def sgd_train(dataset, cfg: ModelConfig) -> TrainReport:
     if not np.isfinite(final):
         raise DivergenceError(cfg.epochs, 0)
     return TrainReport(
-        seed=cfg.seed, kernel=cfg.kernel, epochs=cfg.epochs,
-        learning_rate=cfg.learning_rate, stride=cfg.stride,
-        channels=cfg.channels, batch_size=batch, initial_loss=initial,
-        final_loss=final, epoch_losses=epoch_losses,
-        param_count=net.param_count, seconds=time.perf_counter() - t0,
-        model=net,
+        batch_size=batch, initial_loss=initial, final_loss=final,
+        epoch_losses=epoch_losses, param_count=net.param_count,
+        seconds=time.perf_counter() - t0, model=net,
     )

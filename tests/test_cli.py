@@ -30,6 +30,19 @@ def run(tmp_path, *argv, name="out"):
     return code, out
 
 
+def count_trainings(monkeypatch):
+    """The list of every training run the nested search starts from now on."""
+    calls = []
+    real_train = experiments.sgd_train
+
+    def counted(dataset, cfg):
+        calls.append(cfg)
+        return real_train(dataset, cfg)
+
+    monkeypatch.setattr(experiments, "sgd_train", counted)
+    return calls
+
+
 def read_text(path):
     with open(path, "rb") as fh:
         return fh.read()
@@ -52,6 +65,26 @@ class TestUsageErrors:
 
     def test_threads_must_be_positive(self, tmp_path):
         assert dispatch(["--threads", "0", "verify"]) == 2
+
+    @pytest.mark.parametrize("command", [
+        ["optimize-density"], ["compare-densities"],
+        ["sweep", "--axis", "epochs", "--values", "1,2"]])
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    def test_negative_alpha_bound_rejected_before_any_training(
+            self, tmp_path, capsys, monkeypatch, command, source):
+        trainings = count_trainings(monkeypatch)
+        argv = [*command, *MICRO_DATA, *MICRO_MODEL, *MICRO_DIRECT]
+        if source == "config":
+            cfg_file = tmp_path / "cfg.json"
+            cfg_file.write_text(json.dumps(
+                {"direct": {"alpha_lo": -1, "alpha_hi": 2}}))
+            argv = ["--config", str(cfg_file), *argv]
+        else:
+            argv += ["--alpha-lo", "-1", "--alpha-hi", "2"]
+        code, _ = run(tmp_path, *argv)
+        assert code == 2
+        assert "alpha_lo must be >= 0" in capsys.readouterr().err
+        assert trainings == []
 
     def test_internal_type_error_is_not_a_usage_error(self, tmp_path,
                                                       monkeypatch):
@@ -281,6 +314,17 @@ class TestCompare:
                                                "cubic", "optimal"]
         assert (out / "optimal_density.json").exists()
 
+    @pytest.mark.parametrize("families", ["uniform,bogus,optimal", ",", ""])
+    def test_bad_families_rejected_before_any_training(self, tmp_path, capsys,
+                                                       monkeypatch, families):
+        trainings = count_trainings(monkeypatch)
+        code, out = run(tmp_path, "compare-densities", *MICRO_DATA,
+                        *MICRO_MODEL, *MICRO_DIRECT, "--families", families)
+        assert code == 2
+        assert "--families" in capsys.readouterr().err
+        assert trainings == []
+        assert not (out / "compare.csv").exists()
+
 
 class TestBench:
     def test_bench_csv(self, tmp_path):
@@ -291,6 +335,16 @@ class TestBench:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1
         assert float(rows[0]["ratio"]) > 0
+
+    @pytest.mark.parametrize("flags", [["--image-shape", "1,3,0,0"],
+                                       ["--image-shape", "0,3,8,8"],
+                                       ["--out-channels", "0"]])
+    def test_zero_size_is_a_usage_error(self, tmp_path, capsys, flags):
+        code, out = run(tmp_path, "bench", "--kernels", "3", "--repeats", "10",
+                        *flags)
+        assert code == 2
+        assert "usage:" in capsys.readouterr().err
+        assert not (out / "bench.csv").exists()
 
 
 class TestVerify:
@@ -344,6 +398,62 @@ class TestConfigFile:
         assert row["epochs"] == "2"
         assert row["channels"] == "2"
 
+    # The flag of each setting, a config value and an overriding flag value,
+    # all off their defaults.
+    SETTING_VALUES = {
+        "n_images": ("--n-images", 3, 5), "rows": ("--rows", 10, 14),
+        "cols": ("--cols", 10, 14), "noise_sigma": ("--noise-sigma", 0.05, 0.2),
+        "smoothness": ("--smoothness", 2.0, 3.0),
+        "kernel": ("--kernel", 5, 7), "channels": ("--channels", 3, 5),
+        "stride": ("--stride", 2, 4), "epochs": ("--epochs", 3, 4),
+        "learning_rate": ("--lr", 0.02, 0.03),
+        "batch_size": ("--batch-size", 2, 3),
+        "max_evals": ("--max-evals", 7, 8), "max_iters": ("--max-iters", 5, 6),
+        "f_tol": ("--f-tol", 1e-5, 1e-4), "epsilon": ("--epsilon", 1e-3, 1e-2),
+        "alpha_lo": ("--alpha-lo", 0.1, 0.2), "alpha_hi": ("--alpha-hi", 3.0, 3.5),
+    }
+
+    def test_every_setting_has_a_case(self):
+        assert sorted(self.SETTING_VALUES) == sorted(
+            key for section in cli.SETTINGS.values() for key in section)
+
+    @pytest.mark.parametrize("section, key", [
+        (section, key) for section, keys in cli.SETTINGS.items() for key in keys])
+    def test_setting_reaches_its_consumer_and_its_flag_overrides(
+            self, tmp_path, monkeypatch, section, key):
+        flag, config_value, flag_value = self.SETTING_VALUES[key]
+        seen = {}
+
+        def fake_sweep(axis, values, spec, cfg, k, direct_opts):
+            seen.update(dataset=vars(spec), model=vars(cfg), direct=direct_opts)
+            return []
+
+        monkeypatch.setattr(cli, "sweep_hyperparams", fake_sweep)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({section: {key: config_value}}))
+        argv = ["--config", str(cfg_file), "sweep", "--axis", "epochs",
+                "--values", "1"]
+        assert run(tmp_path, *argv)[0] == 0
+        assert seen[section][key] == config_value
+        assert run(tmp_path, *argv, flag, str(flag_value))[0] == 0
+        assert seen[section][key] == flag_value
+        assert type(seen[section][key]) is type(flag_value)
+
+    def test_null_config_value_keeps_the_default(self, tmp_path, monkeypatch):
+        seen = []
+
+        def record(dataset, cfg):
+            seen.append(cfg)
+            raise DivergenceError(0, 0)
+
+        monkeypatch.setattr(cli, "sgd_train", record)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"model": {"batch_size": None,
+                                                  "epochs": None}}))
+        code, _ = run(tmp_path, "--config", str(cfg_file), "train", *MICRO_DATA)
+        assert code == 1
+        assert seen[0].batch_size is None and seen[0].epochs == 20
+
     @pytest.mark.parametrize("config, named", [
         ({"model": {"chanels": 2}}, "'chanels'"),
         ({"modle": {"channels": 2}}, "'modle'"),
@@ -355,6 +465,8 @@ class TestConfigFile:
         ({"density": {"K": 3, "valeus": [1.0, 1.0, 1.0]}}, "'valeus'"),
         ({"dataset": [4]}, "'dataset'"),
         ([], "JSON object"),
+        ({"direct": {"bounds": [0.0, 2.0]}}, "'bounds'"),
+        ({"model": {"bn_eps": 1e-5}}, "'bn_eps'"),
     ])
     def test_bad_config_is_a_usage_error(self, tmp_path, capsys, config, named):
         cfg_file = tmp_path / "cfg.json"

@@ -33,6 +33,26 @@ class TestKernelStack:
         with pytest.raises(ValueError):
             KernelStack(w)
 
+    @pytest.mark.parametrize("shape", [(0, 1, 3, 3), (1, 0, 3, 3)])
+    def test_no_filter_or_no_channel_rejected(self, shape):
+        with pytest.raises(ShapeError, match="at least one filter"):
+            KernelStack(np.zeros(shape))
+
+
+class TestEmptyOperand:
+    # A zero extent used to reach the chunk size as a division by zero.
+    @pytest.mark.parametrize("shape", [(1, 1, 0, 0), (1, 1, 4, 0), (0, 1, 4, 4)])
+    def test_every_operator_rejects_a_zero_extent(self, shape):
+        x = np.zeros(shape)
+        kernel = delta_kernel()
+        for call in (lambda: conv2d(x, kernel),
+                     lambda: conv2d_weighted(x, kernel, np.ones((3, 3))),
+                     lambda: conv2d_transposed_weighted(x, kernel, upsample=2),
+                     lambda: grad_weights(x, None, np.zeros((1, 1, 4, 4)), k=3),
+                     lambda: grad_input(kernel, None, x)):
+            with pytest.raises(ShapeError, match="empty extent"):
+                call()
+
 
 class TestConv2d:
     def test_delta_kernel_is_identity(self):
