@@ -8,8 +8,8 @@ desk-scale experiment pipeline behind the ``wconv`` CLI.
 """
 
 from .conv import (KernelStack, conv2d, conv2d_transposed_weighted,
-                   conv2d_weighted, flop_count, grad_density, grad_input,
-                   grad_weights, scale_kernel)
+                   conv2d_weighted, flop_count, grad_input, grad_weights,
+                   scale_kernel)
 from .density import (DensityVector, density_from_free, density_from_record,
                       density_matrix, density_record, named_density, FAMILIES)
 from .directl import DirectConfig, minimize

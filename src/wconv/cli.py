@@ -24,7 +24,7 @@ from dataclasses import asdict, replace
 from .density import (density_from_free, density_from_record,
                       density_matrix, density_record, named_density, FAMILIES)
 from .errors import DivergenceError, FormatError, SearchDivergedError
-from .experiments import (HOLDOUT_FRACTION, SWEEP_AXES, DatasetSpec, OuterResult,
+from .experiments import (SWEEP_AXES, DatasetSpec, OuterResult,
                           bench_overhead, build_direct_config,
                           compare_densities, gen_dataset, optimize_density,
                           split_dataset, sweep_hyperparams)
@@ -239,10 +239,9 @@ def _model_cfg(args, config, seed) -> ModelConfig:
     return ModelConfig(seed=seed, **_settings(args, config, "model"))
 
 
-def _search(args, config, cfg, dataset, out_dir) -> OuterResult:
+def _search(direct_cfg, cfg, dataset, out_dir) -> OuterResult:
     """The nested density search on ``dataset``; writes optimal_density.json."""
-    direct_cfg = build_direct_config(cfg.kernel, **_settings(args, config, "direct"))
-    result = optimize_density(cfg.kernel, cfg, direct_cfg, dataset)
+    result = optimize_density(cfg, direct_cfg, dataset)
     _atomic_write(os.path.join(out_dir, "optimal_density.json"),
                   json.dumps(density_record(result.alpha), sort_keys=True) + "\n")
     return result
@@ -265,6 +264,19 @@ def _resolve_density(args, config, kernel):
     return None
 
 
+def _read_image(path):
+    """One (rows, cols) image of a data directory; a bad file names itself
+    in the ``FormatError``."""
+    try:
+        image = tensor_read(path)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    if image.ndim != 2:
+        raise FormatError(f"{path}: expected a (rows, cols) image, got shape "
+                          f"{image.shape}")
+    return image
+
+
 def _load_data_dir(path):
     noisy_files = sorted(glob.glob(os.path.join(path, "noisy_*.wct")))
     if not noisy_files:
@@ -274,7 +286,12 @@ def _load_data_dir(path):
         cf = os.path.join(path, os.path.basename(nf).replace("noisy_", "clean_"))
         if not os.path.exists(cf):
             raise FormatError(f"missing clean counterpart for {nf}")
-        pairs.append((tensor_read(nf), tensor_read(cf)))
+        pairs.append((_read_image(nf), _read_image(cf)))
+        shape = pairs[0][0].shape
+        for name, image in zip((nf, cf), pairs[-1]):
+            if image.shape != shape:
+                raise FormatError(f"{name}: shape {image.shape} differs from "
+                                  f"{shape} in {noisy_files[0]}")
     return pairs
 
 
@@ -314,7 +331,8 @@ def _cmd_train(args, config, seed, out_dir) -> int:
 
 def _cmd_optimize(args, config, seed, out_dir) -> int:
     cfg = _model_cfg(args, config, seed)
-    result = _search(args, config, cfg,
+    direct_cfg = build_direct_config(cfg.kernel, **_settings(args, config, "direct"))
+    result = _search(direct_cfg, cfg,
                      gen_dataset(_dataset_spec(args, config, seed)), out_dir)
     emit_report(result, "csv", os.path.join(out_dir, "outer_result.csv"))
     if args.format == "text":
@@ -332,7 +350,6 @@ def _cmd_sweep(args, config, seed, out_dir) -> int:
     if args.axis == "stride":
         print("note: image size is held fixed while the stride varies")
     rows = sweep_hyperparams(args.axis, args.values, spec, cfg,
-                             k=cfg.kernel,
                              direct_opts=_settings(args, config, "direct"))
     n_free = (cfg.kernel - 1) // 2
     fields = (["axis", "axis_value"] + [f"alpha_{i}" for i in range(1, n_free + 1)]
@@ -351,12 +368,13 @@ def _cmd_compare(args, config, seed, out_dir) -> int:
     if not families or not set(families) <= set(COMPARE_FAMILIES):
         raise ValueError(f"--families {args.families!r} must name one or more of "
                          f"{', '.join(COMPARE_FAMILIES)}")
+    direct_cfg = build_direct_config(cfg.kernel, **_settings(args, config, "direct"))
     dataset = gen_dataset(_dataset_spec(args, config, seed))
     optimal = None
     if "optimal" in families:
-        train_split, _ = split_dataset(dataset, HOLDOUT_FRACTION, cfg.seed)
-        optimal = _search(args, config, cfg, train_split, out_dir).alpha
-    rows = compare_densities(families, cfg.kernel, cfg, dataset, optimal=optimal)
+        train_split, _ = split_dataset(dataset, cfg.seed)
+        optimal = _search(direct_cfg, cfg, train_split, out_dir).alpha
+    rows = compare_densities(families, cfg, dataset, optimal=optimal)
     write_csv(os.path.join(out_dir, "compare.csv"), rows,
               ["family", "alpha", "final_loss", "holdout_mse"])
     for row in rows:

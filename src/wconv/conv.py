@@ -5,8 +5,11 @@ is the inner product of the kernel with the K x K input window centred at
 (i * s, j * s), entries outside the image counting as zero.  Only
 ``conv2d_weighted``, the paper's operator, scales each tap by the density
 as it gathers the taps; the overhead benchmark (``bench``, criterion 8) times
-it.  The other operators take the density folded into the kernel once
-(``scale_kernel``, equal up to rounding), as training does every step.
+it.  The other operators take the density folded into the kernel
+(``scale_kernel``, equal up to rounding), as training does once per step:
+``conv2d`` and the adjoint operators, the transposed conv and the input
+gradient, take the folded kernel, and ``grad_weights`` takes the density and
+returns the gradient of the weights behind the folded kernel.
 
 Every operator is a gather followed by ``np.matmul`` (im2col; Chellapilla,
 Puri & Simard, 2006).  For a chunk of images, the taps of every channel
@@ -228,16 +231,22 @@ def _centred(k):
     return offsets, offsets
 
 
+def _contract(out, w2, x, offsets, stride, density=None):
+    """Fill ``out`` (batch, M, ro, co), which may be a strided view, with
+    the (M, depth) matrix ``w2`` times the columns of ``x`` that
+    ``_columns`` gathers at ``offsets``, a chunk of images at a time."""
+    _, m, ro, co = out.shape
+    for s0, col in _columns(x, offsets, stride, ro, co, density):
+        n = col.shape[0]
+        out[s0:s0 + n] = _matmul(w2, col).reshape(n, m, ro, co)
+
+
 def _forward(x, weights, density, bias, stride):
     bsz, cin, rows, cols = x.shape
     fout, _, k, _ = weights.shape
-    ro = -(-rows // stride)
-    co = -(-cols // stride)
-    w2 = weights.reshape(fout, cin * k * k)
-    out = np.empty((bsz, fout, ro * co))
-    for s0, col in _columns(x, _centred(k), stride, ro, co, density):
-        out[s0:s0 + col.shape[0]] = _matmul(w2, col)
-    out = out.reshape(bsz, fout, ro, co)
+    out = np.empty((bsz, fout, -(-rows // stride), -(-cols // stride)))
+    _contract(out, weights.reshape(fout, cin * k * k), x, _centred(k), stride,
+              density)
     if bias is not None:
         out += bias[:, None, None]
     return out
@@ -277,9 +286,8 @@ def _transposed(weights, upstream, rows, cols, stride):
     stride x stride output phases ``out[:, :, pi::s, pj::s]`` is a stride-1
     conv of the upstream with the phase's taps, channel-swapped (Dumoulin &
     Visin, 2016); at stride 1 that is the whole flipped kernel."""
-    bsz, fout, ro, co = upstream.shape
     _, cin, k, _ = weights.shape
-    out = np.zeros((bsz, cin, rows, cols))
+    out = np.zeros((upstream.shape[0], cin, rows, cols))
     for pi in range(min(stride, rows)):
         row_taps, row_offsets = _phase_taps(k, stride, pi)
         for pj in range(min(stride, cols)):
@@ -287,18 +295,16 @@ def _transposed(weights, upstream, rows, cols, stride):
             if not row_taps or not col_taps:
                 continue  # no tap reaches this phase: it stays zero
             sub = weights[:, :, row_taps][:, :, :, col_taps]
-            w2 = sub.transpose(1, 0, 2, 3).reshape(cin, -1)
-            phase = out[:, :, pi::stride, pj::stride]
-            pr, pc = phase.shape[2:]
-            for s0, col in _columns(upstream, (row_offsets, col_offsets), 1, pr, pc):
-                n = col.shape[0]
-                phase[s0:s0 + n] = _matmul(w2, col).reshape(n, cin, pr, pc)
+            _contract(out[:, :, pi::stride, pj::stride],
+                      sub.transpose(1, 0, 2, 3).reshape(cin, -1), upstream,
+                      (row_offsets, col_offsets), 1)
     return out
 
 
-def conv2d_transposed_weighted(y, kernel: KernelStack, density=None,
+def conv2d_transposed_weighted(y, kernel: KernelStack,
                                upsample: int = 1) -> np.ndarray:
-    """Adjoint of the stride-``upsample`` weighted convolution.
+    """Adjoint of the stride-``upsample`` convolution with ``kernel``, the
+    density already folded in (``scale_kernel``).
 
     Maps (batch, filters, r, c) to (batch, in_channels, r * upsample,
     c * upsample); satisfies <conv(x), y> == <x, conv_T(y)> when the bias
@@ -306,9 +312,8 @@ def conv2d_transposed_weighted(y, kernel: KernelStack, density=None,
     """
     y = _check_operand(y, kernel.filters, upsample, step_name="upsample factor")
     _check_bias(kernel, kernel.in_channels)
-    weights = kernel.weights if density is None else scale_kernel(kernel, density).weights
-    out = _transposed(weights, y, y.shape[2] * upsample, y.shape[3] * upsample,
-                      upsample)
+    out = _transposed(kernel.weights, y, y.shape[2] * upsample,
+                      y.shape[3] * upsample, upsample)
     if kernel.bias is not None:
         out += kernel.bias[:, None, None]
     return out
@@ -323,21 +328,18 @@ class WeightGrad(NamedTuple):
     bias: np.ndarray
 
 
-def grad_weights(x, density, upstream, k: int | None = None,
-                 stride: int = 1) -> WeightGrad:
+def grad_weights(x, density, upstream, stride: int = 1) -> WeightGrad:
     """Loss gradient with respect to the kernel weights and bias.
 
-    ``upstream`` is the loss gradient at the conv output.  A density
+    ``upstream`` is the loss gradient at the conv output.  The density
     multiplies each tap's gradient, giving the gradient of the weights
-    behind a folded kernel.  ``k`` is only needed when ``density`` is None.
+    behind the folded kernel; an all-ones density gives the plain
+    gradient bit for bit.
     """
     x = _check_operand(x, None, stride)
     upstream = _check_operand(upstream, None, stride, "upstream")
-    if density is not None:
-        k = np.shape(density)[0]
-        density = _check_density(density, k)
-    elif k is None:
-        raise ValueError("kernel extent required when no density is given")
+    k = np.shape(density)[0] if np.ndim(density) else 0
+    density = _check_density(density, k)
     if x.shape[0] != upstream.shape[0]:
         raise ShapeError("input and upstream must have matching batch")
     bsz, cin, rows, cols = x.shape
@@ -350,35 +352,21 @@ def grad_weights(x, density, upstream, k: int | None = None,
         per_image = _matmul(up[s0:s0 + col.shape[0]], col.transpose(0, 2, 1))
         gw += per_image.sum(axis=0)
     gw = gw.reshape(fout, cin, k, k)
-    if density is not None:
-        gw *= density
+    gw *= density
     return WeightGrad(gw, upstream.sum(axis=(0, 2, 3)))
 
 
-def grad_input(kernel: KernelStack, density, upstream, input_hw=None,
+def grad_input(kernel: KernelStack, upstream, input_hw=None,
                stride: int = 1) -> np.ndarray:
-    """Loss gradient with respect to the conv input (adjoint map on upstream)."""
+    """Loss gradient with respect to the conv input (adjoint map on
+    upstream) for ``kernel``, the density already folded in."""
     upstream = _check_operand(upstream, kernel.filters, stride, "upstream")
-    weights = kernel.weights if density is None else scale_kernel(kernel, density).weights
     if input_hw is None:
         input_hw = (upstream.shape[2] * stride, upstream.shape[3] * stride)
     rows, cols = input_hw
     if -(-rows // stride) != upstream.shape[2] or -(-cols // stride) != upstream.shape[3]:
         raise ShapeError(f"input size {rows}x{cols} inconsistent with upstream/stride")
-    return _transposed(weights, upstream, rows, cols, stride)
-
-
-def grad_density(x, kernel: KernelStack, upstream, stride: int = 1) -> np.ndarray:
-    """Loss gradient with respect to the K x K density matrix (diagnostic).
-
-    Each tap's density value scales that tap's weights, so its gradient is
-    the unweighted weight gradient times the weights, summed over filters
-    and channels.
-    """
-    x = _check_operand(x, kernel.in_channels, stride)
-    upstream = _check_operand(upstream, kernel.filters, stride, "upstream")
-    gw = grad_weights(x, None, upstream, kernel.k, stride).weights
-    return np.sum(gw * kernel.weights, axis=(0, 1))
+    return _transposed(kernel.weights, upstream, rows, cols, stride)
 
 
 def flop_count(rows: int, cols: int, filters: int, k: int, weighted: bool) -> int:

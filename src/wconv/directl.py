@@ -12,6 +12,7 @@ tie-breaking, so a run is a pure function of its inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,12 +59,15 @@ class DirectConfig:
         object.__setattr__(self, "upper", hi)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("bounds must be 1-D and equal length")
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise ValueError(f"bounds must be finite, got {lo} and {hi}")
         if not np.all(lo < hi):
             raise ValueError("lower bounds must be strictly below upper bounds")
-        if self.f_tol <= 0:
-            raise ValueError("f_tol must be positive")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
+        if not 0 < self.f_tol < math.inf:
+            raise ValueError(f"f_tol must be finite and positive, got {self.f_tol!r}")
+        if not 0 <= self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and non-negative, "
+                             f"got {self.epsilon!r}")
         if self.max_evals < 1 or self.max_iters < 1:
             raise ValueError("max_evals and max_iters must be >= 1")
 

@@ -9,6 +9,7 @@ deterministic function of the density coefficients alone.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -34,10 +35,12 @@ class DatasetSpec:
     def __post_init__(self):
         if self.n_images < 1 or self.rows < 1 or self.cols < 1:
             raise ValueError("n_images, rows, cols must be positive")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be non-negative")
-        if self.smoothness <= 0:
-            raise ValueError("smoothness must be positive")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma must be finite and non-negative, "
+                             f"got {self.noise_sigma!r}")
+        if not 0 < self.smoothness < math.inf:
+            raise ValueError(f"smoothness must be finite and positive, "
+                             f"got {self.smoothness!r}")
 
 
 def _lowpass(grid: np.ndarray, cutoff: float) -> np.ndarray:
@@ -86,11 +89,13 @@ def default_alpha_bounds(k: int) -> tuple[float, float]:
 
 
 def build_direct_config(k: int, max_evals: int = 60, max_iters: int = 40,
-                        f_tol: float = 1e-6, epsilon: float = 1e-4,
+                        f_tol: float = DirectConfig.f_tol,
+                        epsilon: float = DirectConfig.epsilon,
                         alpha_lo: float | None = None,
                         alpha_hi: float | None = None) -> DirectConfig:
     """DIRECT over the free coefficients, each in [alpha_lo, alpha_hi]
-    (default ``default_alpha_bounds(k)``), checked before any training."""
+    (default ``default_alpha_bounds(k)``), checked before any training.
+    The tolerances default to ``DirectConfig``'s."""
     if (alpha_lo is None) != (alpha_hi is None):
         raise ValueError("alpha_lo and alpha_hi must be given together")
     lo, hi = (alpha_lo, alpha_hi) if alpha_lo is not None else default_alpha_bounds(k)
@@ -102,13 +107,13 @@ def build_direct_config(k: int, max_evals: int = 60, max_iters: int = 40,
                         epsilon=epsilon)
 
 
-def _training_objective(dataset, model_cfg: ModelConfig, k: int):
+def _training_objective(dataset, model_cfg: ModelConfig):
     """Final training loss as a function of the free density coefficients
-    ``theta``; NaN on divergence, which includes a run whose final loss is
-    not below its initial loss."""
+    ``theta`` of a ``model_cfg.kernel``-tap density; NaN on divergence,
+    which includes a run whose final loss is not below its initial loss."""
     def objective(theta) -> float:
-        phi = density_matrix(density_from_free(theta, k))
-        cfg = replace(model_cfg, kernel=k, density=phi)
+        phi = density_matrix(density_from_free(theta, model_cfg.kernel))
+        cfg = replace(model_cfg, density=phi)
         try:
             report = sgd_train(dataset, cfg)
         except DivergenceError:
@@ -119,10 +124,11 @@ def _training_objective(dataset, model_cfg: ModelConfig, k: int):
     return objective
 
 
-def optimize_density(k: int, model_cfg: ModelConfig, direct_cfg: DirectConfig,
+def optimize_density(model_cfg: ModelConfig, direct_cfg: DirectConfig,
                      dataset) -> OuterResult:
-    """Nested optimization: derivative-free search over the density
-    coefficients, each evaluation a full SGD training run.
+    """Nested optimization: derivative-free search over the coefficients
+    of a ``model_cfg.kernel``-tap density, each evaluation a full SGD
+    training run.
 
     The all-ones density is the forced first evaluation, so the incumbent
     can never be worse than the uniform baseline and the improvement
@@ -130,8 +136,10 @@ def optimize_density(k: int, model_cfg: ModelConfig, direct_cfg: DirectConfig,
     nothing to improve on and raises ``SearchDivergedError`` before any
     other training run.
     """
-    if k < 3 or k % 2 == 0:
-        raise ValueError(f"kernel extent must be odd and >= 3, got {k}")
+    k = model_cfg.kernel
+    if k < 3:
+        raise ValueError(f"kernel extent must be >= 3 to have a density to "
+                         f"search, got {k}")
     if len(dataset) == 0:
         raise ValueError("dataset must be non-empty")
     n_free = (k - 1) // 2
@@ -140,7 +148,7 @@ def optimize_density(k: int, model_cfg: ModelConfig, direct_cfg: DirectConfig,
             f"direct config has {direct_cfg.lower.shape[0]} dims, "
             f"kernel {k} needs {n_free}"
         )
-    train = _training_objective(dataset, model_cfg, k)
+    train = _training_objective(dataset, model_cfg)
     first = True
 
     def objective(theta) -> float:
@@ -181,7 +189,7 @@ def _outer_row(axis: str, value, result: OuterResult | None, error: str = ""):
 
 
 def sweep_hyperparams(axis: str, values, dataset_spec: DatasetSpec,
-                      model_cfg: ModelConfig, k: int = 3,
+                      model_cfg: ModelConfig,
                       direct_opts: dict | None = None) -> list[dict]:
     """One nested optimization per axis value, everything else held fixed.
 
@@ -194,7 +202,7 @@ def sweep_hyperparams(axis: str, values, dataset_spec: DatasetSpec,
         raise ValueError(f"unknown sweep axis {axis!r}, expected one of {SWEEP_AXES}")
     if len(values) == 0:
         raise ValueError("sweep needs at least one value")
-    direct_cfg = build_direct_config(k, **(direct_opts or {}))
+    direct_cfg = build_direct_config(model_cfg.kernel, **(direct_opts or {}))
     rows = []
     for value in sorted(values):
         try:
@@ -209,7 +217,7 @@ def sweep_hyperparams(axis: str, values, dataset_spec: DatasetSpec,
                 ds = replace(ds, n_images=int(value))
             else:
                 ds = replace(ds, rows=int(value), cols=int(value))
-            result = optimize_density(k, mc, direct_cfg, gen_dataset(ds))
+            result = optimize_density(mc, direct_cfg, gen_dataset(ds))
             rows.append(_outer_row(axis, value, result))
         except (DivergenceError, SearchDivergedError, ValueError) as exc:
             rows.append(_outer_row(axis, value, None, error=str(exc)))
@@ -221,27 +229,27 @@ def sweep_hyperparams(axis: str, values, dataset_spec: DatasetSpec,
 HOLDOUT_FRACTION = 0.2
 
 
-def split_dataset(dataset, holdout_fraction: float = HOLDOUT_FRACTION,
-                  seed: int = 0):
-    """Deterministic train/holdout split; at least one image held out."""
+def split_dataset(dataset, seed: int):
+    """Deterministic train/holdout split of ``HOLDOUT_FRACTION`` of the
+    images; at least one image held out."""
     n = len(dataset)
     order = np.random.default_rng([seed, 131]).permutation(n)
-    n_hold = max(1, int(round(holdout_fraction * n)))
+    n_hold = max(1, int(round(HOLDOUT_FRACTION * n)))
     hold = [dataset[i] for i in order[:n_hold]]
     train = [dataset[i] for i in order[n_hold:]]
     return train, hold
 
 
-def compare_densities(families, k: int, model_cfg: ModelConfig, dataset,
+def compare_densities(families, model_cfg: ModelConfig, dataset,
                       optimal: DensityVector | None = None) -> list[dict]:
     """Train the model once per density family under identical seeds.
 
-    ``families`` draws from the named families plus "optimal", which
-    requires the vector from a prior density optimization.  Reports the
-    final training loss and the mean squared error on the held-out
-    ``HOLDOUT_FRACTION`` of the images.
+    ``families`` draws from the named families, at ``model_cfg.kernel``
+    taps, plus "optimal", which requires the vector from a prior density
+    optimization.  Reports the final training loss and the mean squared
+    error on the held-out ``HOLDOUT_FRACTION`` of the images.
     """
-    train, hold = split_dataset(dataset, HOLDOUT_FRACTION, model_cfg.seed)
+    train, hold = split_dataset(dataset, model_cfg.seed)
     hx = np.stack([p[0] for p in hold])[:, None, :, :]
     ht = np.stack([p[1] for p in hold])[:, None, :, :]
     rows = []
@@ -251,8 +259,8 @@ def compare_densities(families, k: int, model_cfg: ModelConfig, dataset,
                 raise ValueError("'optimal' family requires the optimized vector")
             vec = optimal
         else:
-            vec = named_density(family, k)
-        cfg = replace(model_cfg, kernel=k, density=density_matrix(vec))
+            vec = named_density(family, model_cfg.kernel)
+        cfg = replace(model_cfg, density=density_matrix(vec))
         report = sgd_train(train, cfg)
         holdout = mse_loss(report.model.forward(hx), ht)
         rows.append({

@@ -12,6 +12,7 @@ operators; no density folds as all ones, which changes no weight.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -43,8 +44,9 @@ class ModelConfig:
             raise ValueError(f"kernel extent must be odd, got {self.kernel}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.learning_rate < 0:
-            raise ValueError(f"learning rate must be >= 0, got {self.learning_rate}")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and >= 0, "
+                             f"got {self.learning_rate}")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
         if self.density is not None:
@@ -154,8 +156,8 @@ class _WeightedConv:
         self.grad_w, self.grad_b = g.weights, g.bias
         if not input_grad:
             return None
-        return grad_input(self.folded, None, upstream,
-                          input_hw=self._x.shape[2:], stride=self.stride)
+        return grad_input(self.folded, upstream, input_hw=self._x.shape[2:],
+                          stride=self.stride)
 
 
 class _TransposedWeightedConv(_WeightedConv):
@@ -163,7 +165,7 @@ class _TransposedWeightedConv(_WeightedConv):
 
     def forward(self, y: np.ndarray) -> np.ndarray:
         self._x = y
-        return conv2d_transposed_weighted(y, self._fold(), None, self.stride)
+        return conv2d_transposed_weighted(y, self._fold(), self.stride)
 
     def backward(self, upstream: np.ndarray) -> np.ndarray:
         # The forward map is the adjoint of a strided conv, so the weight

@@ -1,10 +1,14 @@
 """Brute-force reference implementations the fast paths are tested against.
 
-Everything here is deliberately written as plain nested loops over scalar
-arithmetic, independent of the vectorized code under test.
+Everything here except ``grad_density`` is deliberately written as plain
+nested loops over scalar arithmetic, independent of the vectorized code
+under test.
 """
 
 import numpy as np
+
+from wconv.conv import grad_weights
+from wconv.errors import ShapeError
 
 
 def conv_oracle(x, weights, bias=None, density=None, stride=1):
@@ -124,3 +128,17 @@ def rel_err(a, b):
     b = np.asarray(b, dtype=np.float64)
     scale = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-12)
     return float(np.max(np.abs(a - b)) / scale)
+
+
+def grad_density(x, kernel, upstream, stride=1):
+    """Loss gradient of the weighted conv with respect to its K x K density.
+
+    Each tap's density value scales that tap's weights, so its gradient is
+    the plain weight gradient (``grad_weights`` at an all-ones density)
+    times the weights, summed over filters and channels.
+    """
+    if np.shape(x)[1] != kernel.in_channels or np.shape(upstream)[1] != kernel.filters:
+        raise ShapeError(f"operands {np.shape(x)} and {np.shape(upstream)} do not "
+                         f"match the kernel {kernel.weights.shape}")
+    plain = grad_weights(x, np.ones((kernel.k, kernel.k)), upstream, stride).weights
+    return np.sum(plain * kernel.weights, axis=(0, 1))

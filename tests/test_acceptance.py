@@ -10,10 +10,10 @@ import time
 import numpy as np
 import pytest
 
-from oracles import conv_oracle, fd_gradient, rel_err
+from oracles import conv_oracle, fd_gradient, grad_density, rel_err
 from wconv.cli import dispatch
-from wconv.conv import (KernelStack, conv2d, conv2d_weighted, grad_density,
-                        grad_input, grad_weights)
+from wconv.conv import (KernelStack, conv2d, conv2d_weighted, grad_input,
+                        grad_weights, scale_kernel)
 from wconv.density import density_matrix, named_density
 from wconv.directl import DirectConfig, minimize
 from wconv.experiments import (DatasetSpec, bench_overhead,
@@ -106,7 +106,8 @@ def test_criterion_03_gradient_suite():
             conv2d_weighted(x, KernelStack(wv), phi, stride), up), w)
         worst_op = max(worst_op, rel_err(gw, fd_w))
 
-        gx = grad_input(kernel, phi, up, input_hw=(rows, cols), stride=stride)
+        gx = grad_input(scale_kernel(kernel, phi), up, input_hw=(rows, cols),
+                        stride=stride)
         fd_x = fd_gradient(lambda xv: np.vdot(
             conv2d_weighted(xv, kernel, phi, stride), up), x)
         worst_op = max(worst_op, rel_err(gx, fd_x))
@@ -189,7 +190,7 @@ def test_criterion_06_desk_scale_density_optimization():
     t0 = time.perf_counter()
     dataset = gen_dataset(DESK_SPEC)
     direct_cfg = build_direct_config(3, max_evals=50, max_iters=30)
-    res = optimize_density(3, DESK_MODEL, direct_cfg, dataset)
+    res = optimize_density(DESK_MODEL, direct_cfg, dataset)
     a1 = float(res.alpha.values[0])
     elapsed = time.perf_counter() - t0
     ok = 0.0 < a1 < 1.0 and res.improvement >= 0.05 and elapsed < 1800.0
@@ -201,12 +202,12 @@ def test_criterion_06_desk_scale_density_optimization():
 def test_criterion_07_density_family_comparison():
     t0 = time.perf_counter()
     dataset = gen_dataset(DESK_SPEC)
-    train, _ = split_dataset(dataset, 0.2, DESK_MODEL.seed)
-    outer = optimize_density(3, DESK_MODEL,
+    train, _ = split_dataset(dataset, DESK_MODEL.seed)
+    outer = optimize_density(DESK_MODEL,
                              build_direct_config(3, max_evals=50, max_iters=30),
                              train)
     rows = compare_densities(["uniform", "linear", "gaussian", "cubic",
-                              "optimal"], 3, DESK_MODEL, dataset,
+                              "optimal"], DESK_MODEL, dataset,
                              optimal=outer.alpha)
     losses = {r["family"]: r["final_loss"] for r in rows}
     optimal = losses.pop("optimal")
@@ -231,7 +232,7 @@ def test_criterion_08_overhead_benchmark():
 
 def test_criterion_09_epochs_sweep_trend():
     t0 = time.perf_counter()
-    rows = sweep_hyperparams("epochs", [1, 5, 20], DESK_SPEC, DESK_MODEL, k=3,
+    rows = sweep_hyperparams("epochs", [1, 5, 20], DESK_SPEC, DESK_MODEL,
                              direct_opts=dict(max_evals=50, max_iters=30))
     alphas = [r["alpha_1"] for r in rows]
     ok = (all(r["error"] == "" for r in rows)

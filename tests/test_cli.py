@@ -16,7 +16,7 @@ from wconv.density import DensityVector
 from wconv.errors import DivergenceError
 from wconv.experiments import OuterResult
 from wconv.spectral import PropertyCheck
-from wconv.tensors import tensor_read
+from wconv.tensors import tensor_read, tensor_write
 
 
 MICRO_DATA = ["--n-images", "4", "--rows", "12", "--cols", "12"]
@@ -85,6 +85,55 @@ class TestUsageErrors:
         assert code == 2
         assert "alpha_lo must be >= 0" in capsys.readouterr().err
         assert trainings == []
+
+    # (command, setting, value, what the message names): a NaN or infinite
+    # float setting of each section, on a command that reads it.
+    NON_FINITE = [
+        (["gen-data"], "noise_sigma", "nan", "noise_sigma"),
+        (["gen-data"], "smoothness", "nan", "smoothness"),
+        (["train"], "smoothness", "inf", "smoothness"),
+        (["train"], "learning_rate", "nan", "learning_rate"),
+        (["train"], "learning_rate", "inf", "learning_rate"),
+        (["optimize-density"], "epsilon", "nan", "epsilon"),
+        (["optimize-density"], "f_tol", "nan", "f_tol"),
+        (["optimize-density"], "alpha_hi", "inf", "bounds"),
+        (["compare-densities"], "epsilon", "inf", "epsilon"),
+        (["sweep", "--axis", "epochs", "--values", "1,2"], "f_tol", "nan", "f_tol"),
+        (["sweep", "--axis", "epochs", "--values", "1,2"], "learning_rate", "nan",
+         "learning_rate"),
+    ]
+
+    @pytest.mark.parametrize("command, key, value, named", NON_FINITE)
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    def test_non_finite_setting_rejected_before_any_work(
+            self, tmp_path, capsys, monkeypatch, command, key, value, named,
+            source):
+        trainings = count_trainings(monkeypatch)
+        # train calls sgd_train through cli: count those runs too.
+        monkeypatch.setattr(cli, "sgd_train", experiments.sgd_train)
+        section = next(s for s, keys in cli.SETTINGS.items() if key in keys)
+        settings = {key: float(value)}
+        if key == "alpha_hi":
+            settings["alpha_lo"] = 0.0
+        argv = [*command, *MICRO_DATA]
+        if section != "dataset":
+            argv += MICRO_MODEL
+        if section == "direct":
+            argv += MICRO_DIRECT
+        if source == "config":
+            cfg_file = tmp_path / "cfg.json"
+            cfg_file.write_text(json.dumps({section: settings}))
+            argv = ["--config", str(cfg_file), *argv]
+        else:
+            for name, v in settings.items():
+                flag = "--lr" if name == "learning_rate" else "--" + name.replace("_", "-")
+                argv += [flag, str(v)]
+        code, out = run(tmp_path, *argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{named} must be finite" in err and "usage:" in err
+        assert trainings == []
+        assert not out.exists() or list(out.iterdir()) == []
 
     def test_internal_type_error_is_not_a_usage_error(self, tmp_path,
                                                       monkeypatch):
@@ -178,6 +227,32 @@ class TestTrain:
                         str(data), name="trained")
         assert code == 0
         assert (out / "train_report.csv").exists()
+
+    # Files that gen-data never writes, and the one each case must name.
+    @pytest.mark.parametrize("shapes, named", [
+        ({"noisy_000": (8, 8), "clean_000": (6, 6)}, "clean_000.wct"),
+        ({"noisy_000": (8, 8), "clean_000": (8, 8),
+          "noisy_001": (6, 6), "clean_001": (6, 6)}, "noisy_001.wct"),
+        ({"noisy_000": (1, 8, 8), "clean_000": (1, 8, 8)}, "noisy_000.wct"),
+        ({"noisy_000": (8, 8), "clean_000": None}, "clean_000.wct"),
+    ])
+    def test_bad_data_file_is_a_domain_failure_naming_the_file(
+            self, tmp_path, capsys, monkeypatch, shapes, named):
+        trainings = []
+        monkeypatch.setattr(cli, "sgd_train", lambda *a: trainings.append(a))
+        data = tmp_path / "data"
+        data.mkdir()
+        for name, shape in shapes.items():
+            if shape is None:
+                (data / f"{name}.wct").write_bytes(b"not a tensor")
+            else:
+                tensor_write(np.full(shape, 0.5), str(data / f"{name}.wct"))
+        code, out = run(tmp_path, "train", *MICRO_MODEL, "--data-dir", str(data))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(data / named) in err and "usage:" not in err
+        assert trainings == []
+        assert list(out.iterdir()) == []
 
     def test_missing_data_dir_exits_1(self, tmp_path):
         code, _ = run(tmp_path, "train", *MICRO_MODEL, "--data-dir",
@@ -424,7 +499,7 @@ class TestConfigFile:
         flag, config_value, flag_value = self.SETTING_VALUES[key]
         seen = {}
 
-        def fake_sweep(axis, values, spec, cfg, k, direct_opts):
+        def fake_sweep(axis, values, spec, cfg, direct_opts):
             seen.update(dataset=vars(spec), model=vars(cfg), direct=direct_opts)
             return []
 

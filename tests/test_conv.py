@@ -3,11 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import conv_oracle, fd_gradient, rel_err
+from oracles import conv_oracle, fd_gradient, grad_density, rel_err
 from wconv import conv
 from wconv.conv import (KernelStack, conv2d, conv2d_transposed_weighted,
-                        conv2d_weighted, flop_count, grad_density, grad_input,
-                        grad_weights, scale_kernel)
+                        conv2d_weighted, flop_count, grad_input, grad_weights,
+                        scale_kernel)
 from wconv.density import density_matrix
 from wconv.errors import ShapeError
 
@@ -48,8 +48,8 @@ class TestEmptyOperand:
         for call in (lambda: conv2d(x, kernel),
                      lambda: conv2d_weighted(x, kernel, np.ones((3, 3))),
                      lambda: conv2d_transposed_weighted(x, kernel, upsample=2),
-                     lambda: grad_weights(x, None, np.zeros((1, 1, 4, 4)), k=3),
-                     lambda: grad_input(kernel, None, x)):
+                     lambda: grad_weights(x, np.ones((3, 3)), np.zeros((1, 1, 4, 4))),
+                     lambda: grad_input(kernel, x)):
             with pytest.raises(ShapeError, match="empty extent"):
                 call()
 
@@ -146,7 +146,7 @@ class TestTransposed:
     def test_identity_at_unit_upsample(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((2, 1, 5, 5))
-        out = conv2d_transposed_weighted(x, delta_kernel(), np.ones((3, 3)), 1)
+        out = conv2d_transposed_weighted(x, delta_kernel(), 1)
         np.testing.assert_allclose(out, x, rtol=0, atol=1e-15)
 
     def test_adjoint_identity(self):
@@ -158,20 +158,20 @@ class TestTransposed:
             fwd = conv2d_weighted(x, kernel, phi, stride=stride)
             y = rng.standard_normal(fwd.shape)
             lhs = np.vdot(fwd, y)
-            rhs = np.vdot(x, conv2d_transposed_weighted(y, kernel, phi, stride))
+            rhs = np.vdot(x, conv2d_transposed_weighted(
+                y, scale_kernel(kernel, phi), stride))
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 
     def test_upsample_shape(self):
         rng = np.random.default_rng(9)
         y = rng.standard_normal((2, 4, 32, 32))
         kernel = KernelStack(rng.standard_normal((4, 1, 3, 3)))
-        out = conv2d_transposed_weighted(y, kernel, np.ones((3, 3)), 2)
+        out = conv2d_transposed_weighted(y, kernel, 2)
         assert out.shape == (2, 1, 64, 64)
 
     def test_bad_upsample(self):
         with pytest.raises(ValueError):
-            conv2d_transposed_weighted(np.zeros((1, 1, 4, 4)), delta_kernel(),
-                                       None, 0)
+            conv2d_transposed_weighted(np.zeros((1, 1, 4, 4)), delta_kernel(), 0)
 
 
 class TestGradWeights:
@@ -190,12 +190,18 @@ class TestGradWeights:
         np.testing.assert_array_equal(g.bias, [16.0])
 
     def test_uniform_density_equals_plain_gradient(self):
+        # The plain conv is linear in its weights, so the gradient entry of
+        # each weight is <conv(x, unit kernel at that weight), upstream>.
         rng = np.random.default_rng(10)
         x = rng.standard_normal((2, 2, 5, 5))
         up = rng.standard_normal((2, 3, 5, 5))
-        with_phi = grad_weights(x, np.ones((3, 3)), up)
-        without = grad_weights(x, None, up, k=3)
-        np.testing.assert_array_equal(with_phi.weights, without.weights)
+        got = grad_weights(x, np.ones((3, 3)), up).weights
+        want = np.zeros((3, 2, 3, 3))
+        for idx in np.ndindex(want.shape):
+            unit = np.zeros(want.shape)
+            unit[idx] = 1.0
+            want[idx] = np.vdot(conv_oracle(x, unit), up)
+        assert rel_err(got, want) < 1e-12
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -213,7 +219,7 @@ class TestGradInput:
     def test_delta_kernel_passes_upstream_through(self):
         rng = np.random.default_rng(12)
         up = rng.standard_normal((1, 1, 5, 5))
-        got = grad_input(delta_kernel(), np.ones((3, 3)), up, input_hw=(5, 5))
+        got = grad_input(delta_kernel(), up, input_hw=(5, 5))
         np.testing.assert_array_equal(got, up)
 
     def test_matches_finite_differences(self):
@@ -222,7 +228,7 @@ class TestGradInput:
         kernel = KernelStack(rng.standard_normal((3, 2, 3, 3)))
         phi = rng.uniform(0.0, 2.0, (3, 3))
         up = rng.standard_normal((1, 3, 5, 5))
-        analytic = grad_input(kernel, phi, up, input_hw=(5, 5))
+        analytic = grad_input(scale_kernel(kernel, phi), up, input_hw=(5, 5))
         fd = fd_gradient(
             lambda xv: np.vdot(conv2d_weighted(xv, kernel, phi), up), x)
         assert rel_err(analytic, fd) < 1e-6
@@ -232,8 +238,9 @@ class TestGradInput:
         kernel = KernelStack(rng.standard_normal((2, 1, 3, 3)))
         phi = rng.uniform(0.0, 2.0, (3, 3))
         up = rng.standard_normal((1, 2, 4, 4))
-        one = grad_input(kernel, phi, up, input_hw=(4, 4))
-        two = grad_input(kernel, phi, 2.0 * up, input_hw=(4, 4))
+        folded = scale_kernel(kernel, phi)
+        one = grad_input(folded, up, input_hw=(4, 4))
+        two = grad_input(folded, 2.0 * up, input_hw=(4, 4))
         np.testing.assert_allclose(two, 2.0 * one, rtol=0, atol=1e-14)
 
 
@@ -328,7 +335,8 @@ class TestChannelMixing:
         phi = rng.uniform(0.1, 2.0, (k, k))
         y = rng.standard_normal((2, fout, 4, 3))
         lhs = np.vdot(conv_oracle(x, kernel.weights, None, phi, stride), y)
-        rhs = np.vdot(x, conv2d_transposed_weighted(y, kernel, phi, stride))
+        rhs = np.vdot(x, conv2d_transposed_weighted(
+            y, scale_kernel(kernel, phi), stride))
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
     @pytest.mark.parametrize("k", [3, 5])
@@ -346,7 +354,8 @@ class TestChannelMixing:
     @pytest.mark.parametrize("cin,fout", MIXING_CHANNELS)
     def test_grad_input_matches_finite_differences(self, cin, fout, stride, k):
         x, kernel, phi, up = self.make_case(cin, fout, k, stride, 23)
-        analytic = grad_input(kernel, phi, up, input_hw=(7, 6), stride=stride)
+        analytic = grad_input(scale_kernel(kernel, phi), up, input_hw=(7, 6),
+                              stride=stride)
         fd = fd_gradient(lambda xv: np.vdot(
             conv2d_weighted(xv, kernel, phi, stride), up), x)
         assert rel_err(analytic, fd) < 1e-6
@@ -356,19 +365,12 @@ class TestChannelMixing:
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("cin,fout", MIXING_CHANNELS)
     def test_density_folds_into_the_kernel_exactly(self, cin, fout, stride, k):
-        # The density is a tap-wise factor on the weights: taking it inside
-        # the operator or folding it into the kernel first gives the same bits.
+        # The density is a tap-wise factor on the weight gradient: the
+        # gradient at a density is the plain one times it, to the bit.
         x, kernel, phi, up = self.make_case(cin, fout, k, stride, 24)
         np.testing.assert_array_equal(
             grad_weights(x, phi, up, stride=stride).weights,
-            grad_weights(x, None, up, k, stride).weights * phi)
-        np.testing.assert_array_equal(
-            grad_input(kernel, phi, up, (7, 6), stride),
-            grad_input(scale_kernel(kernel, phi), None, up, (7, 6), stride))
-        unbiased = KernelStack(kernel.weights)
-        np.testing.assert_array_equal(
-            conv2d_transposed_weighted(up, unbiased, phi, stride),
-            conv2d_transposed_weighted(up, scale_kernel(unbiased, phi), None, stride))
+            grad_weights(x, np.ones((k, k)), up, stride=stride).weights * phi)
 
 
 class TestChunking:
@@ -396,7 +398,7 @@ class TestChunking:
         x, kernel, phi, y = self.make_case(31)
         unbiased = KernelStack(kernel.weights)
         lhs = np.vdot(conv_oracle(x, kernel.weights, None, phi), y)
-        rhs = np.vdot(x, conv2d_transposed_weighted(y, unbiased, phi))
+        rhs = np.vdot(x, conv2d_transposed_weighted(y, scale_kernel(unbiased, phi)))
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
     def test_grad_weights_matches_finite_differences(self):
@@ -411,7 +413,7 @@ class TestChunking:
         # differences need only that image; the analytic gradient runs on
         # the whole batch.  First and last image of every chunk.
         x, kernel, phi, up = self.make_case(33)
-        analytic = grad_input(kernel, phi, up, input_hw=(7, 6))
+        analytic = grad_input(scale_kernel(kernel, phi), up, input_hw=(7, 6))
         chunk = images_per_chunk(CHUNK_CIN, CHUNK_K, 7, 6)
         starts = range(0, CHUNK_BATCH, chunk)
         for m in sorted({i for s in starts
@@ -471,7 +473,8 @@ class TestPhaseGather:
         phi = rng.uniform(0.1, 2.0, (k, k))
         y = rng.standard_normal((2, 3, 4, 3))
         lhs = np.vdot(conv_oracle(x, kernel.weights, None, phi, stride), y)
-        rhs = np.vdot(x, conv2d_transposed_weighted(y, kernel, phi, stride))
+        rhs = np.vdot(x, conv2d_transposed_weighted(
+            y, scale_kernel(kernel, phi), stride))
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
     @pytest.mark.parametrize("stride,k,hw", PHASE_CASES)
@@ -483,7 +486,7 @@ class TestPhaseGather:
         fwd = conv_oracle(x, kernel.weights, None, phi, stride)
         up = rng.standard_normal(fwd.shape)
         lhs = np.vdot(fwd, up)
-        rhs = np.vdot(x, grad_input(kernel, phi, up, hw, stride))
+        rhs = np.vdot(x, grad_input(scale_kernel(kernel, phi), up, hw, stride))
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
     @pytest.mark.parametrize("stride,k,hw", PHASE_CASES)
@@ -493,7 +496,7 @@ class TestPhaseGather:
         kernel = KernelStack(rng.standard_normal((3, 2, k, k)))
         phi = rng.uniform(0.1, 2.0, (k, k))
         up = rng.standard_normal(conv2d(x, kernel, stride).shape)
-        analytic = grad_input(kernel, phi, up, hw, stride)
+        analytic = grad_input(scale_kernel(kernel, phi), up, hw, stride)
         fd = fd_gradient(lambda xv: np.vdot(
             conv2d_weighted(xv, kernel, phi, stride), up), x)
         assert rel_err(analytic, fd) < 1e-6
@@ -528,12 +531,13 @@ class TestPhaseGather:
         # The transposed conv is the adjoint of the oracle-tested forward.
         x_even = rng.standard_normal((self.BATCH, 1, 2 * up.shape[2], 2 * up.shape[3]))
         lhs = np.vdot(conv2d_weighted(x_even, kernel, phi, self.STRIDE), up)
-        rhs = np.vdot(x_even, conv2d_transposed_weighted(up, kernel, phi, self.STRIDE))
+        folded = scale_kernel(kernel, phi)
+        rhs = np.vdot(x_even, conv2d_transposed_weighted(up, folded, self.STRIDE))
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
         # The conv acts on each image alone, so each image's finite
         # differences need only that image.  First and last image of every
         # chunk of every phase.
-        analytic = grad_input(kernel, phi, up, self.HW, self.STRIDE)
+        analytic = grad_input(folded, up, self.HW, self.STRIDE)
         edges = {i for chunk in self.phase_chunks()
                  for s0 in range(0, self.BATCH, chunk)
                  for i in (s0, min(s0 + chunk, self.BATCH) - 1)}
@@ -606,8 +610,8 @@ class TestMemory:
                              np.zeros(c))
         calls = {
             "conv2d": lambda: conv2d(x, kernel),
-            "grad_weights": lambda: grad_weights(x, None, x, self.K),
-            "grad_input": lambda: grad_input(kernel, None, x, (rows, cols)),
+            "grad_weights": lambda: grad_weights(x, np.ones((self.K, self.K)), x),
+            "grad_input": lambda: grad_input(kernel, x, (rows, cols)),
         }
         # One image's columns (3.3 MB) exceed the budget, so one chunk is
         # one image.
@@ -619,9 +623,9 @@ BAD_STRIDE_CALLS = {
     "conv2d": lambda x, kernel, phi, up, s: conv2d(x, kernel, s),
     "conv2d_weighted": lambda x, kernel, phi, up, s: conv2d_weighted(x, kernel, phi, s),
     "conv2d_transposed_weighted":
-        lambda x, kernel, phi, up, s: conv2d_transposed_weighted(up, kernel, phi, s),
-    "grad_weights": lambda x, kernel, phi, up, s: grad_weights(x, None, up, 3, s),
-    "grad_input": lambda x, kernel, phi, up, s: grad_input(kernel, None, up, stride=s),
+        lambda x, kernel, phi, up, s: conv2d_transposed_weighted(up, kernel, s),
+    "grad_weights": lambda x, kernel, phi, up, s: grad_weights(x, phi, up, s),
+    "grad_input": lambda x, kernel, phi, up, s: grad_input(kernel, up, stride=s),
     "grad_density": lambda x, kernel, phi, up, s: grad_density(x, kernel, up, s),
 }
 

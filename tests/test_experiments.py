@@ -60,7 +60,7 @@ class TestGenDataset:
 class TestOptimizeDensity:
     def test_single_eval_returns_uniform_baseline(self):
         data = gen_dataset(TINY_SPEC)
-        res = optimize_density(3, TINY_MODEL, tiny_direct(max_evals=1), data)
+        res = optimize_density(TINY_MODEL, tiny_direct(max_evals=1), data)
         np.testing.assert_array_equal(res.alpha.values, [1.0, 1.0, 1.0])
         assert res.improvement == 0.0
         assert res.objective == res.baseline
@@ -68,7 +68,7 @@ class TestOptimizeDensity:
 
     def test_improvement_non_negative_and_bounded_alpha(self):
         data = gen_dataset(TINY_SPEC)
-        res = optimize_density(3, TINY_MODEL, tiny_direct(max_evals=15), data)
+        res = optimize_density(TINY_MODEL, tiny_direct(max_evals=15), data)
         assert res.improvement >= 0.0
         lo, hi = default_alpha_bounds(3)
         assert lo <= res.alpha.values[0] <= hi
@@ -76,8 +76,8 @@ class TestOptimizeDensity:
 
     def test_deterministic(self):
         data = gen_dataset(TINY_SPEC)
-        a = optimize_density(3, TINY_MODEL, tiny_direct(), data)
-        b = optimize_density(3, TINY_MODEL, tiny_direct(), data)
+        a = optimize_density(TINY_MODEL, tiny_direct(), data)
+        b = optimize_density(TINY_MODEL, tiny_direct(), data)
         assert a.objective == b.objective
         assert a.baseline == b.baseline
         np.testing.assert_array_equal(a.alpha.values, b.alpha.values)
@@ -96,14 +96,15 @@ class TestOptimizeDensity:
 
         monkeypatch.setattr(experiments, "sgd_train", flaky_train)
         data = gen_dataset(TINY_SPEC)
-        res = optimize_density(3, TINY_MODEL, tiny_direct(max_evals=12), data)
+        res = optimize_density(TINY_MODEL, tiny_direct(max_evals=12), data)
         assert any(t < 0.5 for t in calls)
         assert res.alpha.values[0] >= 0.5
         assert np.isfinite(res.objective)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            optimize_density(5, TINY_MODEL, tiny_direct(), gen_dataset(TINY_SPEC))
+            optimize_density(replace(TINY_MODEL, kernel=5), tiny_direct(),
+                             gen_dataset(TINY_SPEC))
 
     def test_loss_not_below_its_start_scores_as_diverged(self, monkeypatch):
         real_train = experiments.sgd_train
@@ -116,7 +117,7 @@ class TestOptimizeDensity:
 
         monkeypatch.setattr(experiments, "sgd_train", stalled_train)
         objective = experiments._training_objective(gen_dataset(TINY_SPEC),
-                                                    TINY_MODEL, 3)
+                                                    TINY_MODEL)
         assert np.isnan(objective(np.array([1.8])))
         assert np.isfinite(objective(np.array([1.2])))
 
@@ -136,8 +137,8 @@ class TestGoldenSearch:
                               2.5925925925925926, 2.0], 0.376266504446521),
     ])
     def test_tiny_search_result(self, k, per_iteration, alpha, objective):
-        res = optimize_density(k, ModelConfig(channels=2, kernel=k, epochs=3,
-                                              seed=7),
+        res = optimize_density(ModelConfig(channels=2, kernel=k, epochs=3,
+                                           seed=7),
                                build_direct_config(k, max_evals=24,
                                                    max_iters=12),
                                gen_dataset(self.SPEC))
@@ -150,9 +151,9 @@ class TestGoldenSearch:
 class TestSweep:
     def test_single_value_matches_lone_run(self):
         data_cfg = TINY_SPEC
-        rows = sweep_hyperparams("epochs", [2], data_cfg, TINY_MODEL, k=3,
+        rows = sweep_hyperparams("epochs", [2], data_cfg, TINY_MODEL,
                                  direct_opts=dict(max_evals=9, max_iters=6))
-        lone = optimize_density(3, replace(TINY_MODEL, epochs=2), tiny_direct(),
+        lone = optimize_density(replace(TINY_MODEL, epochs=2), tiny_direct(),
                                 gen_dataset(data_cfg))
         assert len(rows) == 1
         assert rows[0]["objective"] == lone.objective
@@ -161,7 +162,7 @@ class TestSweep:
 
     def test_rows_sorted_and_schema_fixed(self):
         rows = sweep_hyperparams("n_images", [6, 4], TINY_SPEC, TINY_MODEL,
-                                 k=3, direct_opts=dict(max_evals=5, max_iters=4))
+                                 direct_opts=dict(max_evals=5, max_iters=4))
         assert [r["axis_value"] for r in rows] == [4, 6]
         for row in rows:
             assert set(row) == {"axis", "axis_value", "alpha_1", "objective",
@@ -169,7 +170,7 @@ class TestSweep:
 
     def test_failed_row_recorded_and_sweep_continues(self):
         rows = sweep_hyperparams("channels", [0, 2], TINY_SPEC, TINY_MODEL,
-                                 k=3, direct_opts=dict(max_evals=5, max_iters=4))
+                                 direct_opts=dict(max_evals=5, max_iters=4))
         assert rows[0]["axis_value"] == 0
         assert rows[0]["error"] != ""
         assert rows[1]["error"] == ""
@@ -193,7 +194,7 @@ class TestCompareDensities:
         data = gen_dataset(TINY_SPEC)
         optimal = DensityVector(np.array([0.4, 1.0, 0.4]))
         rows = compare_densities(["uniform", "linear", "gaussian", "cubic",
-                                  "optimal"], 3, TINY_MODEL, data,
+                                  "optimal"], TINY_MODEL, data,
                                  optimal=optimal)
         assert len(rows) == 5
         assert [r["family"] for r in rows] == ["uniform", "linear", "gaussian",
@@ -204,33 +205,33 @@ class TestCompareDensities:
 
     def test_uniform_row_equals_plain_conv_training(self):
         data = gen_dataset(TINY_SPEC)
-        rows = compare_densities(["uniform"], 3, TINY_MODEL, data)
-        train, _ = split_dataset(data, 0.2, TINY_MODEL.seed)
+        rows = compare_densities(["uniform"], TINY_MODEL, data)
+        train, _ = split_dataset(data, TINY_MODEL.seed)
         plain = sgd_train(train, TINY_MODEL)
         assert rows[0]["final_loss"] == plain.final_loss
 
     def test_optimal_family_requires_vector(self):
         with pytest.raises(ValueError):
-            compare_densities(["optimal"], 3, TINY_MODEL, gen_dataset(TINY_SPEC))
+            compare_densities(["optimal"], TINY_MODEL, gen_dataset(TINY_SPEC))
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
-            compare_densities(["triangular"], 3, TINY_MODEL,
+            compare_densities(["triangular"], TINY_MODEL,
                               gen_dataset(TINY_SPEC))
 
 
 class TestSplitDataset:
     def test_split_sizes_and_determinism(self):
         data = gen_dataset(replace(TINY_SPEC, n_images=10))
-        train_a, hold_a = split_dataset(data, 0.2, seed=4)
-        train_b, hold_b = split_dataset(data, 0.2, seed=4)
+        train_a, hold_a = split_dataset(data, seed=4)
+        train_b, hold_b = split_dataset(data, seed=4)
         assert len(hold_a) == 2 and len(train_a) == 8
         for (xa, _), (xb, _) in zip(hold_a, hold_b):
             assert xa.tobytes() == xb.tobytes()
 
     def test_holdout_never_empty(self):
         data = gen_dataset(replace(TINY_SPEC, n_images=2))
-        train, hold = split_dataset(data, 0.2, seed=0)
+        train, hold = split_dataset(data, seed=0)
         assert len(hold) == 1 and len(train) == 1
 
 

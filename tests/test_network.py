@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import fd_gradient, rel_err
-from wconv.conv import conv2d_transposed_weighted, conv2d_weighted
+from wconv.conv import conv2d_transposed_weighted, conv2d_weighted, scale_kernel
 from wconv.density import density_matrix, named_density
 from wconv.errors import DegenerateBatchError, DivergenceError, ShapeError
 from wconv.network import (BatchNorm2d, DenoiseNet, ModelConfig, kaiming_init,
@@ -128,7 +128,8 @@ class TestModelForward:
 
     def test_folded_layers_match_the_in_loop_operators(self):
         # The layers fold the density into their kernels; the paper's
-        # operators scale each tap inside the loop.  The two agree to rounding.
+        # operator scales each tap inside the loop.  The two agree to
+        # rounding.  The transposed conv takes a folded kernel either way.
         phi = density_matrix(named_density("gaussian", 3))
         net = DenoiseNet(ModelConfig(channels=3, stride=2, kernel=3, seed=4,
                                      density=phi))
@@ -139,7 +140,8 @@ class TestModelForward:
 
         h = bn_relu(conv2d_weighted(x, net.conv1.kernel, phi, stride=2))
         h = bn_relu(conv2d_weighted(h, net.conv2.kernel, phi))
-        want = bn_relu(conv2d_transposed_weighted(h, net.conv3.kernel, phi, 2))
+        want = bn_relu(conv2d_transposed_weighted(
+            h, scale_kernel(net.conv3.kernel, phi), 2))
         assert rel_err(net.forward(x), want) < 1e-12
 
     def test_indivisible_spatial_dims_rejected(self):
