@@ -23,7 +23,8 @@ from dataclasses import asdict, replace
 
 from .density import (density_from_free, density_from_record,
                       density_matrix, density_record, named_density, FAMILIES)
-from .errors import DivergenceError, FormatError, SearchDivergedError
+from .errors import (DegenerateBatchError, DivergenceError, FormatError,
+                     SearchDivergedError)
 from .experiments import (SWEEP_AXES, DatasetSpec, OuterResult,
                           bench_overhead, build_direct_config,
                           compare_densities, gen_dataset, optimize_density,
@@ -314,7 +315,15 @@ def _cmd_train(args, config, seed, out_dir) -> int:
         cfg = replace(cfg, density=density_matrix(vec))
     dataset = (_load_data_dir(args.data_dir) if args.data_dir
                else gen_dataset(_dataset_spec(args, config, seed)))
-    report = sgd_train(dataset, cfg)
+    try:
+        report = sgd_train(dataset, cfg)
+    except DegenerateBatchError as exc:
+        if not args.data_dir:
+            raise
+        # The files hold too few pixels for batch statistics: bad data
+        # (exit 1), where the same shape given by flags is a usage error.
+        raise FormatError(f"{args.data_dir}: images too small to train on: "
+                          f"{exc}") from None
     alpha = " ".join(repr(float(v)) for v in vec.values) if vec is not None else "uniform"
     row = {"seed": cfg.seed, "kernel": cfg.kernel, "alpha": alpha,
            "epochs": cfg.epochs, "lr": cfg.learning_rate, "stride": cfg.stride,

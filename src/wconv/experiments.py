@@ -41,6 +41,14 @@ class DatasetSpec:
         if not 0 < self.smoothness < math.inf:
             raise ValueError(f"smoothness must be finite and positive, "
                              f"got {self.smoothness!r}")
+        # _lowpass divides by this width: it must not overflow or underflow.
+        try:
+            width = 2.0 * self.smoothness**2
+        except OverflowError:
+            width = math.inf
+        if not 0 < width < math.inf:
+            raise ValueError(f"smoothness {self.smoothness!r} is out of range: "
+                             "2 * smoothness**2 must be finite and positive")
 
 
 def _lowpass(grid: np.ndarray, cutoff: float) -> np.ndarray:
@@ -262,7 +270,7 @@ def compare_densities(families, model_cfg: ModelConfig, dataset,
             vec = named_density(family, model_cfg.kernel)
         cfg = replace(model_cfg, density=density_matrix(vec))
         report = sgd_train(train, cfg)
-        holdout = mse_loss(report.model.forward(hx), ht)
+        holdout = mse_loss(report.model.forward(hx, keep=False), ht)
         rows.append({
             "family": family,
             "alpha": " ".join(repr(float(v)) for v in vec.values),

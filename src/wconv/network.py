@@ -8,6 +8,13 @@ parameters (weights, biases, batch-norm scale/shift) are updated with
 stochastic gradient descent on the mean squared error.  Each layer folds
 the density into its kernel once per step and runs the plain conv
 operators; no density folds as all ones, which changes no weight.
+
+Only a pass that a backward pass will read keeps activations.  A training
+step's forward pass (``keep=True``, the default) caches each conv's input,
+each batch norm's normalised input and each ReLU mask.  A loss-only pass
+(``keep=False``: the trainer's initial and final losses, a holdout score)
+caches none of them and works in place, so its memory is a few layer
+outputs rather than every layer's caches for the whole dataset.
 """
 
 from __future__ import annotations
@@ -80,6 +87,14 @@ def mse_grad(pred, target) -> np.ndarray:
     return 2.0 * (pred - target) / pred.size
 
 
+def _cached(value):
+    """An array that a forward pass cached for the backward pass."""
+    if value is None:
+        raise RuntimeError("backward needs the caches of a forward pass "
+                           "run with keep=True")
+    return value
+
+
 class BatchNorm2d:
     """Per-channel normalisation over (batch, row, col), training statistics."""
 
@@ -93,18 +108,26 @@ class BatchNorm2d:
         self._xhat = None
         self._inv_std = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
+        """``x`` normalised with its own batch statistics, then scaled and
+        shifted.  ``keep`` caches the normalised input for ``backward`` and
+        returns a new array.  With ``keep=False`` nothing is cached, an
+        earlier pass's cache is dropped, and ``x`` itself is overwritten
+        with the result and returned: the same operations in the same
+        order, so the same bits."""
         count = x.shape[0] * x.shape[2] * x.shape[3]
         if count < 2:
             raise DegenerateBatchError(
                 f"need at least 2 samples per channel, got {count}"
             )
-        xhat = x - x.mean(axis=(0, 2, 3), keepdims=True)
+        mean = x.mean(axis=(0, 2, 3), keepdims=True)
+        xhat = x - mean if keep else np.subtract(x, mean, out=x)
         var = np.einsum("bcij,bcij->c", xhat, xhat)[:, None, None] / count
-        self._inv_std = 1.0 / np.sqrt(var + self.EPS)
-        xhat *= self._inv_std
-        self._xhat = xhat
-        out = xhat * self.gamma[:, None, None]
+        inv_std = 1.0 / np.sqrt(var + self.EPS)
+        xhat *= inv_std
+        self._xhat, self._inv_std = (xhat, inv_std) if keep else (None, None)
+        gamma = self.gamma[:, None, None]
+        out = xhat * gamma if keep else np.multiply(xhat, gamma, out=xhat)
         out += self.beta[:, None, None]
         return out
 
@@ -112,7 +135,7 @@ class BatchNorm2d:
         # With g = gamma * upstream, mean(g) = gamma * grad_beta / count and
         # mean(g * xhat) = gamma * grad_gamma / count, so the two parameter
         # gradients are the only reductions the input gradient needs.
-        xhat = self._xhat
+        xhat = _cached(self._xhat)
         count = xhat.size // xhat.shape[1]
         dx = upstream * xhat
         self.grad_gamma = dx.sum(axis=(0, 2, 3))
@@ -145,33 +168,37 @@ class _WeightedConv:
         np.multiply(self.kernel.weights, self.density, out=self.folded.weights)
         return self.folded
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
+    def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
+        """The layer's output; ``keep`` caches ``x`` for ``backward``."""
+        self._x = x if keep else None
         return conv2d(x, self._fold(), self.stride)
 
     def backward(self, upstream: np.ndarray, input_grad: bool = True):
         """Fill the parameter gradients; return the input gradient only if
         ``input_grad`` asks for it."""
-        g = grad_weights(self._x, self.density, upstream, stride=self.stride)
+        x = _cached(self._x)
+        g = grad_weights(x, self.density, upstream, stride=self.stride)
         self.grad_w, self.grad_b = g.weights, g.bias
         if not input_grad:
             return None
-        return grad_input(self.folded, upstream, input_hw=self._x.shape[2:],
+        return grad_input(self.folded, upstream, input_hw=x.shape[2:],
                           stride=self.stride)
 
 
 class _TransposedWeightedConv(_WeightedConv):
     """The adjoint of a strided conv layer, upsampling by ``stride``."""
 
-    def forward(self, y: np.ndarray) -> np.ndarray:
-        self._x = y
+    def forward(self, y: np.ndarray, *, keep: bool = True) -> np.ndarray:
+        """The layer's output; ``keep`` caches ``y`` for ``backward``."""
+        self._x = y if keep else None
         return conv2d_transposed_weighted(y, self._fold(), self.stride)
 
     def backward(self, upstream: np.ndarray) -> np.ndarray:
         # The forward map is the adjoint of a strided conv, so the weight
         # gradient swaps the roles of input and upstream, and the input
         # gradient is the strided conv itself.
-        g = grad_weights(upstream, self.density, self._x, stride=self.stride)
+        g = grad_weights(upstream, self.density, _cached(self._x),
+                         stride=self.stride)
         self.grad_w = g.weights
         self.grad_b = upstream.sum(axis=(0, 2, 3))
         return conv2d(upstream, KernelStack(self.folded.weights, None), self.stride)
@@ -193,29 +220,46 @@ class DenoiseNet:
         self.bn1 = BatchNorm2d(c)
         self.bn2 = BatchNorm2d(c)
         self.bn3 = BatchNorm2d(1)
+        self._layers = [(self.conv1, self.bn1), (self.conv2, self.bn2),
+                        (self.conv3, self.bn3)]
         self._masks = [None, None, None]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
+        """The (batch, 1, rows, cols) output for a (batch, 1, rows, cols) input.
+
+        ``keep`` (a training step) caches what ``backward`` reads: each
+        conv's input, each batch norm's normalised input and each ReLU
+        mask.  A loss-only pass sets ``keep=False``: it caches nothing,
+        drops any earlier pass's caches so that ``backward`` raises, and
+        normalises and rectifies each conv output in place, so each layer's
+        input is freed once the next conv has read it.  The output is the
+        same either way, to the bit.
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 4 or x.shape[1] != 1:
             raise ShapeError(f"expected (batch, 1, rows, cols), got {x.shape}")
         s = self.cfg.stride
         if x.shape[2] % s or x.shape[3] % s:
             raise ShapeError(f"spatial dims {x.shape[2:]} not divisible by stride {s}")
+        if not keep:
+            # Free every earlier cache before this pass allocates its arrays.
+            self._masks = [None, None, None]
+            for conv, bn in self._layers:
+                conv._x = bn._xhat = bn._inv_std = None
         h = x
-        for i, (conv, bn) in enumerate([(self.conv1, self.bn1),
-                                        (self.conv2, self.bn2),
-                                        (self.conv3, self.bn3)]):
-            h = bn.forward(conv.forward(h))
-            self._masks[i] = h > 0
+        for i, (conv, bn) in enumerate(self._layers):
+            h = bn.forward(conv.forward(h, keep=keep), keep=keep)
+            if keep:
+                self._masks[i] = h > 0
             np.maximum(h, 0.0, out=h)
         return h
 
     def backward(self, upstream: np.ndarray) -> None:
         """Fill every layer's parameter gradients from the loss gradient at
-        the output; returns nothing.  The gradient at the network input is
-        never computed: no caller reads it."""
-        g = self.conv3.backward(self.bn3.backward(upstream * self._masks[2]))
+        the output, using the caches of the last ``forward``, which must
+        have kept them; returns nothing.  The gradient at the network input
+        is never computed: no caller reads it."""
+        g = self.conv3.backward(self.bn3.backward(upstream * _cached(self._masks[2])))
         # The layers' input gradients are fresh arrays: mask them in place.
         g *= self._masks[1]
         g = self.conv2.backward(self.bn2.backward(g))
@@ -224,15 +268,13 @@ class DenoiseNet:
 
     def params(self) -> list[np.ndarray]:
         out = []
-        for conv, bn in [(self.conv1, self.bn1), (self.conv2, self.bn2),
-                         (self.conv3, self.bn3)]:
+        for conv, bn in self._layers:
             out += [conv.kernel.weights, conv.kernel.bias, bn.gamma, bn.beta]
         return out
 
     def grads(self) -> list[np.ndarray]:
         out = []
-        for conv, bn in [(self.conv1, self.bn1), (self.conv2, self.bn2),
-                         (self.conv3, self.bn3)]:
+        for conv, bn in self._layers:
             out += [conv.grad_w, conv.grad_b, bn.grad_gamma, bn.grad_beta]
         return out
 
@@ -268,7 +310,8 @@ def sgd_train(dataset, cfg: ModelConfig) -> TrainReport:
     Runs epochs * ceil(N / batch) gradient steps of w <- w - lr * grad.
     The default batch size is the full set for N <= 32, otherwise 8 with
     a per-seed fixed shuffle.  A non-finite loss aborts with the epoch and
-    step in the exception.
+    step in the exception.  Only training steps keep activations; the
+    final loss pass keeps none, so the report's model holds none.
     """
     if len(dataset) == 0:
         raise ValueError("dataset must be non-empty")
@@ -279,14 +322,16 @@ def sgd_train(dataset, cfg: ModelConfig) -> TrainReport:
     net = DenoiseNet(cfg)
     shuffle_rng = np.random.default_rng([cfg.seed, 7919])
     t0 = time.perf_counter()
-    # A full-batch first step reuses this pass: same input, same weights.
-    pred = net.forward(x)
+    # A full-batch first step reuses this pass (same input, same weights),
+    # so only then does it keep the caches its backward pass reads.
+    full = batch == n
+    pred = net.forward(x, keep=full)
     initial = mse_loss(pred, t)
-    if batch < n:
+    if not full:
         pred = None
     epoch_losses = []
     for epoch in range(cfg.epochs):
-        order = shuffle_rng.permutation(n) if batch < n else None
+        order = None if full else shuffle_rng.permutation(n)
         total = 0.0
         for step, s0 in enumerate(range(0, n, batch)):
             if order is None:
@@ -306,7 +351,7 @@ def sgd_train(dataset, cfg: ModelConfig) -> TrainReport:
             for p, g in zip(net.params(), net.grads()):
                 p -= cfg.learning_rate * g
         epoch_losses.append(total / n)
-    final = mse_loss(net.forward(x), t)
+    final = mse_loss(net.forward(x, keep=False), t)
     if not np.isfinite(final):
         raise DivergenceError(cfg.epochs, 0)
     return TrainReport(

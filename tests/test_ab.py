@@ -1,0 +1,94 @@
+"""tools/ab.py, the A/B benchmark script: its summary arithmetic, and one
+pair of the fast workload in a throwaway git repository."""
+
+import importlib.util
+import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_ab():
+    spec = importlib.util.spec_from_file_location("ab", ROOT / "tools" / "ab.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ab = load_ab()
+ENV = {"nproc": 2, "cpu": "x", "python": "3", "numpy": "2", "blas": "b",
+       "threads": 1, "seconds": 1.0}
+
+
+def test_seeds_and_pairs():
+    assert ab.parse_seeds("31-34,51") == [31, 32, 33, 34, 51]
+    assert ab.plan_pairs(["2"], ["a", "b"]) == {"a": 2, "b": 2}
+    assert ab.plan_pairs(["b=3"], ["a", "b"]) == {"b": 3}
+    for bad in (["c=1"], ["a=0"]):
+        with pytest.raises(ValueError):
+            ab.plan_pairs(bad, ["a", "b"])
+
+
+@pytest.mark.parametrize("records, named", [
+    ([{**ENV, "blas": None}], "blas"),
+    ([ENV, {**ENV, "threads": 2}], "threads"),
+])
+def test_environment_refuses_null_or_mixed_records(records, named):
+    with pytest.raises(ValueError, match=named):
+        ab.environment(records)
+
+
+def test_summary_compares_medians_and_counts_wins():
+    def rec(run_s, work):
+        return {"metrics": {"run_s": {"value": run_s},
+                            "work_per_s": {"value": work}}}
+    runs = {"base": [rec(1.0, 5.0), rec(2.0, 5.0), rec(3.0, 5.0)],
+            "change": [rec(0.5, 6.0), rec(2.5, 4.0), rec(1.0, 5.0)]}
+    metrics = [{"name": "run_s", "unit": "s", "better": "lower"},
+               {"name": "work_per_s", "unit": "1/s", "better": "higher"}]
+    got = ab.summarise(runs, metrics)
+    assert got["run_s"]["base"] == {"median": 2.0, "q1": 1.5, "q3": 2.5}
+    assert got["run_s"]["change_over_base"] == 0.5
+    assert got["run_s"]["change_wins"] == 2
+    assert got["run_s"]["base_quartile_distance"] == 1.0
+    assert got["work_per_s"]["change_wins"] == 1  # ties count for neither
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_one_pair_writes_a_bench_file(tmp_path):
+    repo = tmp_path / "repo"
+    ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".perfbench_out")
+    for name in ("src", "perfbench", "tools"):
+        shutil.copytree(ROOT / name, repo / name, ignore=ignore)
+    shutil.copy(ROOT / "BENCHMARK.json", repo)
+    git = ["git", "-C", str(repo), "-c", "user.name=ab", "-c",
+           "user.email=ab@localhost", "-c", "commit.gpgsign=false"]
+    subprocess.run(["git", "init", "-q", str(repo)], check=True)
+    subprocess.run([*git, "add", "-A"], check=True)
+    subprocess.run([*git, "commit", "-q", "-m", "base"], check=True)
+
+    proc = subprocess.run(
+        [sys.executable, str(repo / "tools" / "ab.py"), "--base", "HEAD",
+         "--label", "t", "--change", "nothing", "--seeds", "0",
+         "--pairs", "verify=1", "--seconds", "1"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    bench = json.loads((repo / "BENCH_t.json").read_text())
+    with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
+        names = [m["name"] for m in json.load(fh)["end_to_end"]]
+    assert list(bench["workloads"]) == ["verify"]
+    verify = bench["workloads"]["verify"]
+    assert verify["pairs"] == 1 and verify["seeds"] == [0]
+    assert None not in verify["environment"].values()
+    assert verify["failed"] == {"base": 0, "change": 0}
+    assert min(verify["attempted"].values()) >= 1
+    assert list(verify["metrics"]) == names
+    # The base worktree is gone.
+    listed = subprocess.run([*git, "worktree", "list"], check=True,
+                            capture_output=True, text=True).stdout
+    assert len(listed.splitlines()) == 1

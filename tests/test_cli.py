@@ -135,6 +135,17 @@ class TestUsageErrors:
         assert trainings == []
         assert not out.exists() or list(out.iterdir()) == []
 
+    # 2 * smoothness**2 overflows, or underflows to zero, in float64.
+    @pytest.mark.parametrize("smoothness", ["1e300", "1e-200"])
+    def test_smoothness_out_of_float_range_rejected(self, tmp_path, capsys,
+                                                    smoothness):
+        code, out = run(tmp_path, "gen-data", "--n-images", "2", "--rows", "8",
+                        "--cols", "8", "--smoothness", smoothness)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "smoothness" in err and "usage:" in err
+        assert not out.exists() or list(out.iterdir()) == []
+
     def test_internal_type_error_is_not_a_usage_error(self, tmp_path,
                                                       monkeypatch):
         def broken(*args):
@@ -253,6 +264,21 @@ class TestTrain:
         assert str(data / named) in err and "usage:" not in err
         assert trainings == []
         assert list(out.iterdir()) == []
+
+    def test_data_too_small_to_train_on_is_a_domain_failure(self, tmp_path,
+                                                            capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("noisy_000", "clean_000"):
+            tensor_write(np.full((1, 1), 0.5), str(data / f"{name}.wct"))
+        code, _ = run(tmp_path, "train", *MICRO_MODEL, "--data-dir", str(data))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(data) in err and "usage:" not in err
+        # The same shape given by flags stays a usage error.
+        code, _ = run(tmp_path, "train", *MICRO_MODEL, "--n-images", "1",
+                      "--rows", "1", "--cols", "1")
+        assert code == 2
 
     def test_missing_data_dir_exits_1(self, tmp_path):
         code, _ = run(tmp_path, "train", *MICRO_MODEL, "--data-dir",

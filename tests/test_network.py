@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -310,6 +312,11 @@ class TestForwardPasses:
             0.2657339877625625),
     }
 
+    # Only a pass that a backward pass reads keeps caches: the initial pass
+    # when the first full-batch step reuses it, every step, never the final.
+    KEEPS = {None: [True] * 3 + [False],
+             4: [False] + [True] * 3 * 2 + [False]}
+
     @pytest.mark.parametrize("batch_size,passes", [(None, 3 + 1),
                                                    (4, 3 * 2 + 2)])
     def test_forward_passes_and_losses(self, batch_size, passes, monkeypatch):
@@ -318,22 +325,106 @@ class TestForwardPasses:
                           learning_rate=0.05, seed=1, batch_size=batch_size,
                           density=density_matrix(named_density("gaussian", 3)))
         expected = reference_losses(data, cfg)
-        calls = []
+        calls, kept = [], []
         forward = DenoiseNet.forward
 
-        def counted(net, x):
+        def counted(net, x, **kwargs):
             calls.append(x.shape[0])
-            return forward(net, x)
+            kept.append(kwargs.get("keep", True))
+            return forward(net, x, **kwargs)
 
         monkeypatch.setattr(DenoiseNet, "forward", counted)
         report = sgd_train(data, cfg)
         assert len(calls) == passes
+        assert kept == self.KEEPS[batch_size]
         got = (report.initial_loss, report.epoch_losses, report.final_loss)
         assert got == expected
         initial, epochs, final = self.RECORDED[batch_size]
         np.testing.assert_allclose(report.initial_loss, initial, rtol=1e-12)
         np.testing.assert_allclose(report.epoch_losses, epochs, rtol=1e-12)
         np.testing.assert_allclose(report.final_loss, final, rtol=1e-12)
+
+
+def gaussian_net(channels=3, stride=2, seed=4):
+    phi = density_matrix(named_density("gaussian", 3))
+    return DenoiseNet(ModelConfig(channels=channels, stride=stride, kernel=3,
+                                  seed=seed, density=phi))
+
+
+def cached_arrays(net):
+    """Every activation the net holds for a backward pass, by name."""
+    arrays = {f"mask{i}": m for i, m in enumerate(net._masks)}
+    for i, (conv, bn) in enumerate([(net.conv1, net.bn1), (net.conv2, net.bn2),
+                                    (net.conv3, net.bn3)], 1):
+        arrays.update({f"conv{i}._x": conv._x, f"bn{i}._xhat": bn._xhat,
+                       f"bn{i}._inv_std": bn._inv_std})
+    return {name: a for name, a in arrays.items() if a is not None}
+
+
+class TestLossOnlyPasses:
+    """A ``keep=False`` pass caches nothing and gives the same bits."""
+
+    def test_same_output_to_the_bit(self):
+        net = gaussian_net()
+        x = np.random.default_rng(8).standard_normal((3, 1, 8, 8))
+        np.testing.assert_array_equal(net.forward(x, keep=False), net.forward(x))
+
+    def test_batchnorm_overwrites_its_input(self):
+        x = np.random.default_rng(9).standard_normal((2, 3, 4, 4))
+        bn = BatchNorm2d(3)
+        bn.gamma[:] = [0.5, 2.0, -1.0]
+        bn.beta[:] = [0.1, 0.0, -0.3]
+        want = bn.forward(x)
+        work = x.copy()
+        got = bn.forward(work, keep=False)
+        assert got is work
+        np.testing.assert_array_equal(got, want)
+
+    def test_keeps_no_caches_and_drops_earlier_ones(self):
+        net = gaussian_net()
+        x = np.random.default_rng(10).standard_normal((2, 1, 8, 8))
+        net.forward(x)
+        assert len(cached_arrays(net)) == 12
+        net.forward(x, keep=False)
+        assert cached_arrays(net) == {}
+
+    def test_backward_after_a_loss_only_pass_raises(self):
+        net = gaussian_net()
+        x = np.random.default_rng(11).standard_normal((2, 1, 8, 8))
+        with pytest.raises(RuntimeError, match="keep=True"):
+            net.backward(np.ones_like(x))  # no forward pass yet
+        net.forward(x)
+        pred = net.forward(x, keep=False)
+        with pytest.raises(RuntimeError, match="keep=True"):
+            net.backward(mse_grad(pred, x))
+        bn = BatchNorm2d(2)
+        h = np.ones((2, 2, 4, 4))
+        bn.forward(h)
+        bn.forward(h.copy(), keep=False)
+        with pytest.raises(RuntimeError, match="keep=True"):
+            bn.backward(h)
+
+    @pytest.mark.parametrize("batch_size", [None, 2])
+    def test_trained_model_holds_no_activations(self, batch_size):
+        cfg = ModelConfig(channels=2, kernel=3, epochs=2, batch_size=batch_size)
+        report = sgd_train(tiny_dataset(), cfg)
+        assert cached_arrays(report.model) == {}
+
+    def test_minibatch_training_peak_stays_near_a_few_activations(self):
+        # A loss pass over all 16 images holds the inputs, two conv outputs
+        # and one column chunk: about 3 activations of (16, 8, 32, 32).
+        # Keeping every layer's caches for the whole set takes about 6.
+        data = tiny_dataset(n=16, size=32, seed=5)
+        cfg = ModelConfig(channels=8, kernel=3, epochs=1, batch_size=4, seed=1)
+        activation = 16 * 8 * 32 * 32 * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sgd_train(data, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * activation
 
 
 class TestModelConfigValidation:

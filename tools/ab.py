@@ -1,0 +1,226 @@
+"""A/B benchmark of this working tree against a base revision.
+
+    python3 tools/ab.py --base 593a502 --label my_change \\
+        --change "what the change does" --seeds 31-40 --pairs 10
+
+Checks the base revision out with ``git worktree add`` in a temporary
+directory and copies this tree's ``perfbench/`` into it, so both sides run
+the same benchmark code on their own ``src/``.  Then, per workload, it
+alternates ``perfbench/run.py --trace 0`` between the base and this tree,
+base first on even pairs (counting from 0), one seed per pair: pair ``i``
+runs ``seeds[i % len(seeds)]``.  ``--pairs N`` runs every workload of
+``BENCHMARK.json`` N times; ``--pairs W=N`` (repeatable) runs only the
+workloads named.
+
+Writes ``BENCH_<label>.json`` at the repo root: per workload, each side's
+median and quartiles of every end-to-end metric ``BENCHMARK.json`` lists,
+the change's median over the base's, the pairs the change won, and the
+environment ``run.py`` recorded.  It refuses to write the file if any
+environment field is null or the two sides' environments differ.  The
+worktree is removed when the script ends.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import re
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = ROOT / "BENCHMARK.json"
+# The environment fields a BENCH file records for each workload.
+ENV_KEYS = ("nproc", "cpu", "python", "numpy", "blas", "threads", "seconds")
+METHOD = ("alternating pairs (base first on even pairs, change first on odd), "
+          "one seed per pair; medians and inclusive quartiles of the per-run "
+          "values")
+
+
+def parse_seeds(text: str) -> list[int]:
+    """``31-40`` or ``31,33,35``, or a mix of both."""
+    seeds = []
+    for part in text.split(","):
+        lo, sep, hi = part.strip().partition("-")
+        seeds += range(int(lo), int(hi) + 1) if sep else [int(lo)]
+    if not seeds:
+        raise ValueError("no seeds given")
+    return seeds
+
+
+def plan_pairs(specs: list[str], workloads: list[str]) -> dict[str, int]:
+    """Pairs per workload from ``N`` (every workload) or ``W=N`` items."""
+    plan = {}
+    for spec in specs:
+        name, sep, count = spec.rpartition("=")
+        for w in ([name] if sep else workloads):
+            if w not in workloads:
+                raise ValueError(f"unknown workload {w!r}, expected one of {workloads}")
+            plan[w] = int(count)
+    if not plan or min(plan.values()) < 1:
+        raise ValueError("every workload needs at least one pair")
+    return plan
+
+
+def quartiles(values: list[float]) -> dict:
+    if len(values) == 1:
+        q1 = q3 = values[0]
+    else:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": round(statistics.median(values), 5),
+            "q1": round(q1, 5), "q3": round(q3, 5)}
+
+
+def environment(records: list[dict]) -> dict:
+    """The BENCH environment fields, which every run must record alike and
+    none may leave null."""
+    env = {key: records[0].get(key) for key in ENV_KEYS}
+    missing = [key for key, value in env.items() if value is None]
+    if missing:
+        raise ValueError(f"run.py recorded no {', '.join(missing)}")
+    for record in records[1:]:
+        differ = [key for key in ENV_KEYS if record.get(key) != env[key]]
+        if differ:
+            raise ValueError(f"the runs' environments differ in {', '.join(differ)}")
+    return env
+
+
+def summarise(runs: dict[str, list[dict]], metrics: list[dict]) -> dict:
+    """Compare the base and change result.json records of one workload's
+    pairs (``runs[side][i]`` is pair i) on every end-to-end metric."""
+    out = {}
+    for m in metrics:
+        name, lower = m["name"], m["better"] == "lower"
+        base = [r["metrics"][name]["value"] for r in runs["base"]]
+        change = [r["metrics"][name]["value"] for r in runs["change"]]
+        b, c = quartiles(base), quartiles(change)
+        wins = sum((cv < bv) if lower else (cv > bv) for bv, cv in zip(base, change))
+        out[name] = {
+            "unit": m["unit"], "base": b, "change": c,
+            "change_over_base": round(c["median"] / b["median"], 4)
+            if b["median"] else None,
+            "change_wins": wins,
+            "base_quartile_distance": round(b["q3"] - b["q1"], 5),
+        }
+    return out
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``run.py --trace 0`` window in ``tree``; its result.json record."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n"
+                           + proc.stderr[-2000:])
+    path = tree / ".perfbench_out" / f"{workload}-seed{seed}-trace0" / "result.json"
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def measure(base_tree: Path, plan: dict[str, int], seeds: list[int],
+            seconds: float, metrics: list[dict]) -> dict:
+    trees = {"base": base_tree, "change": ROOT}
+    result = {}
+    for workload, pairs in plan.items():
+        runs = {"base": [], "change": []}
+        for i in range(pairs):
+            seed = seeds[i % len(seeds)]
+            for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
+                record = run_side(trees[side], workload, seed, seconds)
+                runs[side].append(record)
+                got = record["metrics"]
+                values = "  ".join(f"{m['name']} {got[m['name']]['value']:.5g}"
+                                   for m in metrics)
+                print(f"{workload} pair {i + 1}/{pairs} seed {seed} {side:<6} "
+                      f"{values}  failed {record['failed']}/{record['attempted']}",
+                      file=sys.stderr, flush=True)
+        env = environment([r["environment"] for side in runs.values() for r in side])
+        result[workload] = {
+            "seeds": [seeds[i % len(seeds)] for i in range(pairs)],
+            "pairs": pairs,
+            "attempted": {s: sum(r["attempted"] for r in runs[s]) for s in runs},
+            "failed": {s: sum(r["failed"] for r in runs[s]) for s in runs},
+            "environment": env,
+            "metrics": summarise(runs, metrics),
+        }
+    return result
+
+
+def parse_args(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--base", required=True, help="git revision to compare against")
+    p.add_argument("--label", required=True, help="names BENCH_<label>.json")
+    p.add_argument("--change", required=True, help="one line on what the change does")
+    p.add_argument("--seeds", required=True, type=parse_seeds,
+                   help="e.g. 31-40 or 31,33,35: pair i runs seeds[i %% len(seeds)]")
+    p.add_argument("--pairs", action="append", required=True,
+                   help="N for every workload, or W=N for workload W (repeatable)")
+    p.add_argument("--seconds", type=float, default=None,
+                   help="run.py window (default: BENCHMARK.json's run_seconds)")
+    return p.parse_args(argv)
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    if not re.fullmatch(r"[A-Za-z0-9_.-]+", args.label):
+        print(f"error: label {args.label!r} must be letters, digits, '_', '.' or '-'",
+              file=sys.stderr)
+        return 2
+    with open(BENCHMARK, encoding="utf-8") as fh:
+        bench = json.load(fh)
+    try:
+        plan = plan_pairs(args.pairs, [w["name"] for w in bench["workloads"]])
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    seconds = args.seconds if args.seconds is not None else float(bench["run_seconds"])
+    try:
+        base = git("rev-parse", "--short", f"{args.base}^{{commit}}")
+    except subprocess.CalledProcessError:
+        print(f"error: {args.base!r} names no commit", file=sys.stderr)
+        return 2
+    tmp = Path(tempfile.mkdtemp(prefix="wconv-ab-"))
+    base_tree = tmp / "base"
+    git("worktree", "add", "--detach", str(base_tree), base)
+    try:
+        shutil.rmtree(base_tree / "perfbench", ignore_errors=True)
+        shutil.copytree(ROOT / "perfbench", base_tree / "perfbench",
+                        ignore=shutil.ignore_patterns("__pycache__", ".pytest_cache"))
+        workloads = measure(base_tree, plan, args.seeds, seconds,
+                            bench["end_to_end"])
+    except (RuntimeError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    finally:
+        git("worktree", "remove", "--force", str(base_tree))
+        shutil.rmtree(tmp, ignore_errors=True)
+
+    record = {
+        "label": args.label, "base": base, "change": args.change,
+        "command": f"python3 perfbench/run.py --workload <w> --seed <s> "
+                   f"--seconds {seconds:g} --trace 0",
+        "method": METHOD, "workloads": workloads,
+    }
+    out = ROOT / f"BENCH_{args.label}.json"
+    out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    for workload, w in workloads.items():
+        for name, m in w["metrics"].items():
+            print(f"{workload:<14} {name:<12} base {m['base']['median']:<10g} "
+                  f"change {m['change']['median']:<10g} x{m['change_over_base']}  "
+                  f"wins {m['change_wins']}/{w['pairs']}")
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
