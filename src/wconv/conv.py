@@ -25,6 +25,15 @@ holds as many images as fit ``_COLUMN_BYTES``, so the buffer never grows
 with the batch.  No BLAS product contracts more than ``_GEMM_DEPTH``
 terms, so results do not depend on the BLAS thread count, and none is
 wider than ``_GEMM_WIDTH`` pixels, where threaded OpenBLAS slows down.
+
+A layer's backward pass takes both of its gradients from one gather.  At
+stride 1 the weight gradient of a conv is its input times the transposed
+upstream columns that the input gradient gathers (``grad_input`` given
+the input), and the input gradient of a transposed conv is the strided
+conv of the upstream windows that its weight gradient gathers
+(``grad_weights`` given the kernel).  Every operator that training calls
+writes into a caller's array when given one (``out``), so a training step
+can reuse its buffers.
 """
 
 from __future__ import annotations
@@ -159,33 +168,36 @@ _GEMM_DEPTH = 256
 _GEMM_WIDTH = 4096
 
 
-def _matmul(a, b):
+def _matmul(a, b, out=None):
     """``a @ b`` for stacks a (..., M, K) and b (..., K, N), as products of
     at most ``_GEMM_WIDTH`` columns that each sum their K terms in blocks of
     at most ``_GEMM_DEPTH``, so the result does not depend on the BLAS
-    thread count and no product is too wide to run fast."""
+    thread count and no product is too wide to run fast.  Written into
+    ``out`` when given."""
     width = b.shape[-1]
     if width <= _GEMM_WIDTH:
-        return _deep_matmul(a, b)
-    out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-                   + (a.shape[-2], width))
+        return _deep_matmul(a, b, out)
+    if out is None:
+        out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+                       + (a.shape[-2], width))
     for j in range(0, width, _GEMM_WIDTH):
-        out[..., j:j + _GEMM_WIDTH] = _deep_matmul(a, b[..., j:j + _GEMM_WIDTH])
+        _deep_matmul(a, b[..., j:j + _GEMM_WIDTH], out[..., j:j + _GEMM_WIDTH])
     return out
 
 
-def _deep_matmul(a, b):
-    """``a @ b`` with the K terms summed in blocks of ``_GEMM_DEPTH``."""
+def _deep_matmul(a, b, out=None):
+    """``a @ b`` with the K terms summed in blocks of ``_GEMM_DEPTH``,
+    written into ``out`` when given."""
     depth = a.shape[-1]
     if depth <= _GEMM_DEPTH:
-        return np.matmul(a, b)
+        return np.matmul(a, b, out=out)
     blocks, rest = divmod(depth, _GEMM_DEPTH)
     whole = blocks * _GEMM_DEPTH
     a_blocks = a[..., :whole].reshape(*a.shape[:-1], blocks,
                                       _GEMM_DEPTH).swapaxes(-2, -3)
     b_blocks = b[..., :whole, :].reshape(*b.shape[:-2], blocks, _GEMM_DEPTH,
                                          b.shape[-1])
-    out = np.matmul(a_blocks, b_blocks).sum(axis=-3)
+    out = np.matmul(a_blocks, b_blocks).sum(axis=-3, out=out)
     if rest:
         out += np.matmul(a[..., whole:], b[..., whole:, :])
     return out
@@ -231,32 +243,56 @@ def _centred(k):
     return offsets, offsets
 
 
-def _contract(out, w2, x, offsets, stride, density=None):
-    """Fill ``out`` (batch, M, ro, co), which may be a strided view, with
-    the (M, depth) matrix ``w2`` times the columns of ``x`` that
-    ``_columns`` gathers at ``offsets``, a chunk of images at a time."""
-    _, m, ro, co = out.shape
+def _contract(x, offsets, stride, ro, co, density=None, *, w2=None, out=None,
+              up=None):
+    """One gather of the columns of ``x`` that ``_columns`` makes at
+    ``offsets``, a chunk of images at a time, feeding up to two products:
+    ``out`` (batch, M, ro, co), which may be a strided view, is filled with
+    the (M, depth) matrix ``w2`` times the columns, and with ``up``
+    (batch, N, ro * co) the (N, depth) sum over images of ``up`` times the
+    transposed columns is returned, else None."""
+    depth = x.shape[1] * len(offsets[0]) * len(offsets[1])
+    acc = None if up is None else np.zeros((up.shape[1], depth))
     for s0, col in _columns(x, offsets, stride, ro, co, density):
         n = col.shape[0]
-        out[s0:s0 + n] = _matmul(w2, col).reshape(n, m, ro, co)
+        if w2 is not None:
+            dst = out[s0:s0 + n]
+            if dst.flags.c_contiguous:
+                _matmul(w2, col, dst.reshape(n, -1, ro * co))
+            else:
+                dst[...] = _matmul(w2, col).reshape(n, -1, ro, co)
+        if up is not None:
+            acc += _matmul(up[s0:s0 + n], col.transpose(0, 2, 1)).sum(axis=0)
+    return acc
 
 
-def _forward(x, weights, density, bias, stride):
+def _output(out, shape):
+    """``out``, checked to have ``shape``, or a new array of that shape."""
+    if out is None:
+        return np.empty(shape)
+    if out.shape != shape:
+        raise ShapeError(f"out has shape {out.shape}, the result {shape}")
+    return out
+
+
+def _forward(x, weights, density, bias, stride, out=None):
     bsz, cin, rows, cols = x.shape
     fout, _, k, _ = weights.shape
-    out = np.empty((bsz, fout, -(-rows // stride), -(-cols // stride)))
-    _contract(out, weights.reshape(fout, cin * k * k), x, _centred(k), stride,
-              density)
+    ro, co = -(-rows // stride), -(-cols // stride)
+    out = _output(out, (bsz, fout, ro, co))
+    _contract(x, _centred(k), stride, ro, co, density,
+              w2=weights.reshape(fout, cin * k * k), out=out)
     if bias is not None:
         out += bias[:, None, None]
     return out
 
 
-def conv2d(x, kernel: KernelStack, stride: int = 1) -> np.ndarray:
-    """Standard convolution; output (batch, filters, ceil(R/s), ceil(C/s))."""
+def conv2d(x, kernel: KernelStack, stride: int = 1, *, out=None) -> np.ndarray:
+    """Standard convolution; output (batch, filters, ceil(R/s), ceil(C/s)),
+    written into ``out`` when given."""
     x = _check_operand(x, kernel.in_channels, stride)
     _check_bias(kernel, kernel.filters)
-    return _forward(x, kernel.weights, None, kernel.bias, stride)
+    return _forward(x, kernel.weights, None, kernel.bias, stride, out)
 
 
 def conv2d_weighted(x, kernel: KernelStack, density, stride: int = 1) -> np.ndarray:
@@ -280,40 +316,49 @@ def _phase_taps(k, stride, phase):
     return taps, [(phase - a + pad) // stride for a in taps]
 
 
-def _transposed(weights, upstream, rows, cols, stride):
+def _transposed(weights, upstream, rows, cols, stride, out=None, x=None):
     """Adjoint of the stride-``stride`` conv with ``weights``: the
     (batch, in_channels, rows, cols) map of ``upstream``.  Each of the
     stride x stride output phases ``out[:, :, pi::s, pj::s]`` is a stride-1
     conv of the upstream with the phase's taps, channel-swapped (Dumoulin &
-    Visin, 2016); at stride 1 that is the whole flipped kernel."""
+    Visin, 2016); at stride 1 that is the whole flipped kernel.  With the
+    conv's input ``x`` (stride 1 only), also return the (in_channels,
+    filters * K * K) sum over images of ``x`` times the transposed upstream
+    columns, taps in ``_phase_taps`` order: the weight gradient, from the
+    gather the input gradient makes anyway."""
+    bsz = upstream.shape[0]
     _, cin, k, _ = weights.shape
-    out = np.zeros((upstream.shape[0], cin, rows, cols))
+    out = _output(out, (bsz, cin, rows, cols))
+    xs = None if x is None else x.reshape(bsz, cin, rows * cols)
+    acc = None
     for pi in range(min(stride, rows)):
         row_taps, row_offsets = _phase_taps(k, stride, pi)
         for pj in range(min(stride, cols)):
             col_taps, col_offsets = _phase_taps(k, stride, pj)
+            phase = out[:, :, pi::stride, pj::stride]
             if not row_taps or not col_taps:
-                continue  # no tap reaches this phase: it stays zero
+                phase[...] = 0.0  # no tap reaches this phase
+                continue
             sub = weights[:, :, row_taps][:, :, :, col_taps]
-            _contract(out[:, :, pi::stride, pj::stride],
-                      sub.transpose(1, 0, 2, 3).reshape(cin, -1), upstream,
-                      (row_offsets, col_offsets), 1)
-    return out
+            w2 = sub.transpose(1, 0, 2, 3).reshape(cin, -1)
+            acc = _contract(upstream, (row_offsets, col_offsets), 1,
+                            *phase.shape[2:], w2=w2, out=phase, up=xs)
+    return out, acc
 
 
-def conv2d_transposed_weighted(y, kernel: KernelStack,
-                               upsample: int = 1) -> np.ndarray:
+def conv2d_transposed_weighted(y, kernel: KernelStack, upsample: int = 1, *,
+                               out=None) -> np.ndarray:
     """Adjoint of the stride-``upsample`` convolution with ``kernel``, the
     density already folded in (``scale_kernel``).
 
     Maps (batch, filters, r, c) to (batch, in_channels, r * upsample,
-    c * upsample); satisfies <conv(x), y> == <x, conv_T(y)> when the bias
-    is absent.
+    c * upsample), written into ``out`` when given; satisfies
+    <conv(x), y> == <x, conv_T(y)> when the bias is absent.
     """
     y = _check_operand(y, kernel.filters, upsample, step_name="upsample factor")
     _check_bias(kernel, kernel.in_channels)
-    out = _transposed(kernel.weights, y, y.shape[2] * upsample,
-                      y.shape[3] * upsample, upsample)
+    out, _ = _transposed(kernel.weights, y, y.shape[2] * upsample,
+                         y.shape[3] * upsample, upsample, out)
     if kernel.bias is not None:
         out += kernel.bias[:, None, None]
     return out
@@ -322,19 +367,28 @@ def conv2d_transposed_weighted(y, kernel: KernelStack,
 class WeightGrad(NamedTuple):
     """Weight and bias gradients.  Unlike a ``KernelStack`` they are not
     checked for finiteness: an overflow is a divergence, which the
-    trainer's loss check reports, not invalid input."""
+    trainer's loss check reports, not invalid input.  ``input`` is a
+    layer's input gradient when the call made it from the same gather."""
 
     weights: np.ndarray
     bias: np.ndarray
+    input: np.ndarray | None = None
 
 
-def grad_weights(x, density, upstream, stride: int = 1) -> WeightGrad:
+def grad_weights(x, density, upstream, stride: int = 1, *,
+                 kernel: KernelStack | None = None, out=None) -> WeightGrad:
     """Loss gradient with respect to the kernel weights and bias.
 
     ``upstream`` is the loss gradient at the conv output.  The density
     multiplies each tap's gradient, giving the gradient of the weights
     behind the folded kernel; an all-ones density gives the plain
     gradient bit for bit.
+
+    With ``kernel``, the folded kernel of this conv, ``input`` is also
+    ``conv2d(x, kernel, stride)`` (written into ``out`` when given), from
+    the windows of ``x`` the weight gradient gathers: the input gradient of
+    the transposed conv layer that maps ``upstream`` back to ``x``, whose
+    weight gradient this is.
     """
     x = _check_operand(x, None, stride)
     upstream = _check_operand(upstream, None, stride, "upstream")
@@ -346,27 +400,58 @@ def grad_weights(x, density, upstream, stride: int = 1) -> WeightGrad:
     _, fout, ro, co = upstream.shape
     if ro != -(-rows // stride) or co != -(-cols // stride):
         raise ShapeError(f"upstream spatial {ro}x{co} inconsistent with stride {stride}")
-    up = upstream.reshape(bsz, fout, ro * co)
-    gw = np.zeros((fout, cin * k * k))
-    for s0, col in _columns(x, _centred(k), stride, ro, co):
-        per_image = _matmul(up[s0:s0 + col.shape[0]], col.transpose(0, 2, 1))
-        gw += per_image.sum(axis=0)
+    if kernel is not None:
+        if kernel.weights.shape != (fout, cin, k, k):
+            raise ShapeError(f"kernel shape {kernel.weights.shape} does not match "
+                             f"the gradient's {(fout, cin, k, k)}")
+        _check_bias(kernel, fout)
+        out = _output(out, upstream.shape)
+    gw = _contract(x, _centred(k), stride, ro, co,
+                   w2=None if kernel is None else kernel.weights.reshape(fout, -1),
+                   out=out, up=upstream.reshape(bsz, fout, ro * co))
     gw = gw.reshape(fout, cin, k, k)
     gw *= density
-    return WeightGrad(gw, upstream.sum(axis=(0, 2, 3)))
+    if kernel is None:
+        return WeightGrad(gw, upstream.sum(axis=(0, 2, 3)))
+    if kernel.bias is not None:
+        out += kernel.bias[:, None, None]
+    return WeightGrad(gw, upstream.sum(axis=(0, 2, 3)), out)
 
 
-def grad_input(kernel: KernelStack, upstream, input_hw=None,
-               stride: int = 1) -> np.ndarray:
+def grad_input(kernel: KernelStack, upstream, input_hw=None, stride: int = 1,
+               *, x=None, density=None, out=None):
     """Loss gradient with respect to the conv input (adjoint map on
-    upstream) for ``kernel``, the density already folded in."""
+    upstream) for ``kernel``, the density already folded in; written into
+    ``out`` when given.
+
+    With the conv's input ``x`` and its ``density``, returns the
+    ``WeightGrad`` that ``grad_weights(x, density, upstream, stride)``
+    would, equal up to rounding, with the input gradient as its ``input``.
+    At stride 1 the weight gradient is ``x`` times the transposed upstream
+    columns that the input gradient gathers, so the pass gathers once.
+    """
     upstream = _check_operand(upstream, kernel.filters, stride, "upstream")
     if input_hw is None:
         input_hw = (upstream.shape[2] * stride, upstream.shape[3] * stride)
     rows, cols = input_hw
     if -(-rows // stride) != upstream.shape[2] or -(-cols // stride) != upstream.shape[3]:
         raise ShapeError(f"input size {rows}x{cols} inconsistent with upstream/stride")
-    return _transposed(kernel.weights, upstream, rows, cols, stride)
+    if x is None:
+        return _transposed(kernel.weights, upstream, rows, cols, stride, out)[0]
+    x = _check_operand(x, kernel.in_channels, stride)
+    if x.shape != (upstream.shape[0], kernel.in_channels, rows, cols):
+        raise ShapeError(f"input shape {x.shape} does not match upstream and "
+                         f"input size {rows}x{cols}")
+    density = _check_density(density, kernel.k)
+    if stride != 1:
+        g = grad_weights(x, density, upstream, stride)
+        return g._replace(input=_transposed(kernel.weights, upstream, rows, cols,
+                                            stride, out)[0])
+    dx, acc = _transposed(kernel.weights, upstream, rows, cols, 1, out, x)
+    fout, cin, k, _ = kernel.weights.shape
+    gw = np.ascontiguousarray(acc.reshape(cin, fout, k, k).transpose(1, 0, 2, 3))
+    gw *= density
+    return WeightGrad(gw, upstream.sum(axis=(0, 2, 3)), dx)
 
 
 def flop_count(rows: int, cols: int, filters: int, k: int, weighted: bool) -> int:

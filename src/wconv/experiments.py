@@ -55,7 +55,9 @@ def _lowpass(grid: np.ndarray, cutoff: float) -> np.ndarray:
     rows, cols = grid.shape
     fu = np.fft.fftfreq(rows) * rows
     fv = np.fft.fftfreq(cols) * cols
-    gain = np.exp(-(fu[:, None] ** 2 + fv[None, :] ** 2) / (2.0 * cutoff**2))
+    # A tiny cutoff overflows the exponent to -inf, whose gain is exactly 0.
+    with np.errstate(over="ignore"):
+        gain = np.exp(-(fu[:, None] ** 2 + fv[None, :] ** 2) / (2.0 * cutoff**2))
     return np.real(np.fft.ifft2(np.fft.fft2(grid) * gain))
 
 
@@ -64,7 +66,9 @@ def gen_dataset(spec: DatasetSpec):
 
     Clean images are low-pass-filtered white noise rescaled to [0, 1];
     noisy ones add zero-mean Gaussian noise of the requested deviation,
-    clipped back to [0, 1].
+    clipped back to [0, 1].  A smoothness so small that the filter leaves
+    an image of more than one pixel constant is a ``ValueError``; a 1x1
+    image is constant by nature and comes out as 0.
     """
     rng = np.random.default_rng(spec.seed)
     pairs = []
@@ -72,7 +76,14 @@ def gen_dataset(spec: DatasetSpec):
         smooth = _lowpass(rng.standard_normal((spec.rows, spec.cols)),
                           spec.smoothness)
         lo, hi = smooth.min(), smooth.max()
-        clean = (smooth - lo) / (hi - lo) if hi > lo else np.zeros_like(smooth)
+        if hi > lo:
+            clean = (smooth - lo) / (hi - lo)
+        elif smooth.size == 1:
+            clean = np.zeros_like(smooth)
+        else:
+            raise ValueError(f"smoothness {spec.smoothness!r} is too small: the "
+                             f"low-pass filter leaves {spec.rows}x{spec.cols} "
+                             "images constant")
         noisy = clean + rng.standard_normal(clean.shape) * spec.noise_sigma
         pairs.append((np.clip(noisy, 0.0, 1.0), clean))
     return pairs

@@ -10,11 +10,16 @@ the density into its kernel once per step and runs the plain conv
 operators; no density folds as all ones, which changes no weight.
 
 Only a pass that a backward pass will read keeps activations.  A training
-step's forward pass (``keep=True``, the default) caches each conv's input,
-each batch norm's normalised input and each ReLU mask.  A loss-only pass
-(``keep=False``: the trainer's initial and final losses, a holdout score)
-caches none of them and works in place, so its memory is a few layer
-outputs rather than every layer's caches for the whole dataset.
+step's forward pass (``keep=True``, the default) caches each conv's input
+and each batch norm's normalised input and rectified output, from which
+the backward pass reads the ReLU masks.  A training step allocates
+nothing large after the first: the kept arrays and two working arrays
+per layer output shape, which hold the conv outputs and the backward
+pass's gradients, are carved out of one block when a batch shape first
+appears and reused while it holds.  A loss-only pass (``keep=False``: the
+trainer's initial and final losses, a holdout score) drops that block,
+caches nothing and works in place on fresh arrays, so its memory is a few
+layer outputs rather than every layer's caches for the whole dataset.
 """
 
 from __future__ import annotations
@@ -95,8 +100,34 @@ def _cached(value):
     return value
 
 
+def _reuse(buf, shape):
+    """``buf`` if it has ``shape``, otherwise a new array of that shape."""
+    return buf if buf is not None and buf.shape == shape else np.empty(shape)
+
+
+# Bytes of one channel block of batch norm's elementwise passes.  A block's
+# input, normalised input and output stay in cache across the passes over
+# it: on a 2-core Xeon (4 MiB L2 per core), BatchNorm2d.forward at the desk
+# shape (20 x 2 x 64 x 64, 0.66 MB per channel) took 0.48 ms a channel at a
+# time and 0.79 ms over both channels at once.  A block holds at least one
+# channel.
+_CHANNEL_BLOCK_BYTES = 1 << 20
+
+
+def _channel_blocks(x) -> list[slice]:
+    """Slices of the channels of ``x`` in blocks of ``_CHANNEL_BLOCK_BYTES``."""
+    per_channel = x.nbytes // x.shape[1]
+    step = max(1, _CHANNEL_BLOCK_BYTES // per_channel)
+    return [slice(c, c + step) for c in range(0, x.shape[1], step)]
+
+
 class BatchNorm2d:
-    """Per-channel normalisation over (batch, row, col), training statistics."""
+    """Per-channel normalisation over (batch, row, col), training statistics.
+
+    A ``keep=True`` pass writes the normalised input, which ``backward``
+    reads, and the output into arrays the layer owns and reuses from one
+    training step to the next while the input shape holds.
+    """
 
     EPS = 1e-5  # added to the variance before its square root
 
@@ -105,14 +136,18 @@ class BatchNorm2d:
         self.beta = np.zeros(channels)
         self.grad_gamma = np.zeros(channels)
         self.grad_beta = np.zeros(channels)
-        self._xhat = None
-        self._inv_std = None
+        self.release()
+
+    def release(self) -> None:
+        """Drop the kept arrays, so that ``backward`` raises."""
+        self._xhat = self._inv_std = self._out = None
 
     def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
         """``x`` normalised with its own batch statistics, then scaled and
         shifted.  ``keep`` caches the normalised input for ``backward`` and
-        returns a new array.  With ``keep=False`` nothing is cached, an
-        earlier pass's cache is dropped, and ``x`` itself is overwritten
+        returns the layer's output array, which its next pass overwrites;
+        ``x`` is left as it is.  With ``keep=False`` nothing is kept, an
+        earlier pass's arrays are dropped, and ``x`` itself is overwritten
         with the result and returned: the same operations in the same
         order, so the same bits."""
         count = x.shape[0] * x.shape[2] * x.shape[3]
@@ -121,29 +156,47 @@ class BatchNorm2d:
                 f"need at least 2 samples per channel, got {count}"
             )
         mean = x.mean(axis=(0, 2, 3), keepdims=True)
-        xhat = x - mean if keep else np.subtract(x, mean, out=x)
+        if keep:
+            xhat = _reuse(self._xhat, x.shape)
+            out = self._out = _reuse(self._out, x.shape)
+        else:
+            self.release()
+            xhat = out = x
+        blocks = _channel_blocks(x)
+        for c in blocks:
+            np.subtract(x[:, c], mean[:, c], out=xhat[:, c])
         var = np.einsum("bcij,bcij->c", xhat, xhat)[:, None, None] / count
         inv_std = 1.0 / np.sqrt(var + self.EPS)
-        xhat *= inv_std
-        self._xhat, self._inv_std = (xhat, inv_std) if keep else (None, None)
-        gamma = self.gamma[:, None, None]
-        out = xhat * gamma if keep else np.multiply(xhat, gamma, out=xhat)
-        out += self.beta[:, None, None]
+        if keep:
+            self._xhat, self._inv_std = xhat, inv_std
+        gamma, beta = self.gamma[:, None, None], self.beta[:, None, None]
+        for c in blocks:
+            xc, oc = xhat[:, c], out[:, c]
+            xc *= inv_std[c]
+            np.multiply(xc, gamma[c], out=oc)
+            oc += beta[c]
         return out
 
-    def backward(self, upstream: np.ndarray) -> np.ndarray:
+    def backward(self, upstream: np.ndarray, out=None) -> np.ndarray:
+        """The input gradient, written into ``out`` when given; fills the
+        parameter gradients."""
         # With g = gamma * upstream, mean(g) = gamma * grad_beta / count and
         # mean(g * xhat) = gamma * grad_gamma / count, so the two parameter
         # gradients are the only reductions the input gradient needs.
         xhat = _cached(self._xhat)
         count = xhat.size // xhat.shape[1]
-        dx = upstream * xhat
-        self.grad_gamma = dx.sum(axis=(0, 2, 3))
-        self.grad_beta = upstream.sum(axis=(0, 2, 3))
-        np.multiply(xhat, (self.grad_gamma / count)[:, None, None], out=dx)
-        np.subtract(upstream, dx, out=dx)
-        dx -= (self.grad_beta / count)[:, None, None]
-        dx *= self.gamma[:, None, None] * self._inv_std
+        self.grad_gamma = np.einsum("bcij,bcij->c", upstream, xhat)
+        self.grad_beta = np.einsum("bcij->c", upstream)
+        a = (self.grad_gamma / count)[:, None, None]
+        b = (self.grad_beta / count)[:, None, None]
+        scale = self.gamma[:, None, None] * self._inv_std
+        dx = np.empty(xhat.shape) if out is None else out
+        for c in _channel_blocks(xhat):
+            dc = dx[:, c]
+            np.multiply(xhat[:, c], a[c], out=dc)
+            np.subtract(upstream[:, c], dc, out=dc)
+            dc -= b[c]
+            dc *= scale[c]
         return dx
 
 
@@ -168,40 +221,60 @@ class _WeightedConv:
         np.multiply(self.kernel.weights, self.density, out=self.folded.weights)
         return self.folded
 
-    def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
-        """The layer's output; ``keep`` caches ``x`` for ``backward``."""
-        self._x = x if keep else None
-        return conv2d(x, self._fold(), self.stride)
+    def out_shape(self, shape) -> tuple:
+        """The output shape for an input of ``shape``."""
+        s = self.stride
+        return (shape[0], self.kernel.filters, -(-shape[2] // s), -(-shape[3] // s))
 
-    def backward(self, upstream: np.ndarray, input_grad: bool = True):
-        """Fill the parameter gradients; return the input gradient only if
-        ``input_grad`` asks for it."""
+    def forward(self, x: np.ndarray, *, keep: bool = True, out=None) -> np.ndarray:
+        """The layer's output, written into ``out`` when given; ``keep``
+        caches ``x`` for ``backward``."""
+        self._x = x if keep else None
+        return conv2d(x, self._fold(), self.stride, out=out)
+
+    def backward(self, upstream: np.ndarray, input_grad: bool = True, out=None):
+        """Fill the parameter gradients; return the input gradient, written
+        into ``out`` when given, only if ``input_grad`` asks for it.  Both
+        gradients come from one gather of the upstream (``grad_input``)."""
         x = _cached(self._x)
-        g = grad_weights(x, self.density, upstream, stride=self.stride)
+        if input_grad:
+            g = grad_input(self.folded, upstream, x.shape[2:], self.stride,
+                           x=x, density=self.density, out=out)
+        else:
+            g = grad_weights(x, self.density, upstream, stride=self.stride)
         self.grad_w, self.grad_b = g.weights, g.bias
-        if not input_grad:
-            return None
-        return grad_input(self.folded, upstream, input_hw=x.shape[2:],
-                          stride=self.stride)
+        return g.input
 
 
 class _TransposedWeightedConv(_WeightedConv):
     """The adjoint of a strided conv layer, upsampling by ``stride``."""
 
-    def forward(self, y: np.ndarray, *, keep: bool = True) -> np.ndarray:
-        """The layer's output; ``keep`` caches ``y`` for ``backward``."""
-        self._x = y if keep else None
-        return conv2d_transposed_weighted(y, self._fold(), self.stride)
+    def __init__(self, kernel: KernelStack, density: np.ndarray, stride: int):
+        super().__init__(kernel, density, stride)
+        # The folded weights without the bias: the strided conv that maps
+        # this layer's output gradient to its input gradient.
+        self._adjoint = KernelStack(self.folded.weights)
 
-    def backward(self, upstream: np.ndarray) -> np.ndarray:
+    def out_shape(self, shape) -> tuple:
+        s = self.stride
+        return (shape[0], self.kernel.in_channels, shape[2] * s, shape[3] * s)
+
+    def forward(self, y: np.ndarray, *, keep: bool = True, out=None) -> np.ndarray:
+        """The layer's output, written into ``out`` when given; ``keep``
+        caches ``y`` for ``backward``."""
+        self._x = y if keep else None
+        return conv2d_transposed_weighted(y, self._fold(), self.stride, out=out)
+
+    def backward(self, upstream: np.ndarray, out=None) -> np.ndarray:
         # The forward map is the adjoint of a strided conv, so the weight
         # gradient swaps the roles of input and upstream, and the input
-        # gradient is the strided conv itself.
+        # gradient is the strided conv itself: both read the upstream's
+        # windows, gathered once.
         g = grad_weights(upstream, self.density, _cached(self._x),
-                         stride=self.stride)
+                         stride=self.stride, kernel=self._adjoint, out=out)
         self.grad_w = g.weights
         self.grad_b = upstream.sum(axis=(0, 2, 3))
-        return conv2d(upstream, KernelStack(self.folded.weights, None), self.stride)
+        return g.input
 
 
 class DenoiseNet:
@@ -222,18 +295,58 @@ class DenoiseNet:
         self.bn3 = BatchNorm2d(1)
         self._layers = [(self.conv1, self.bn1), (self.conv2, self.bn2),
                         (self.conv3, self.bn3)]
-        self._masks = [None, None, None]
+        self.release()
+
+    def release(self) -> None:
+        """Drop every cache and step buffer, so that ``backward`` raises."""
+        for conv, bn in self._layers:
+            conv._x = None
+            bn.release()
+        self._buffers = {}
+        self._shape = None
+
+    def _allocate(self, shape) -> None:
+        """Carve the step buffers for inputs of ``shape`` out of one array:
+        each batch norm's normalised input and output, and two working
+        arrays per layer output shape.  A training then returns its buffers
+        to the allocator as one block, which the next training gets back
+        whole instead of faulting in fresh pages."""
+        self.release()
+        shapes, out = [], shape
+        for conv, _ in self._layers:
+            out = conv.out_shape(out)
+            shapes.append(out)
+        work = list(dict.fromkeys(shapes))
+        parts = [s for s in shapes + work for _ in range(2)]
+        ends = np.cumsum([math.prod(s) for s in parts])
+        block = np.empty(ends[-1])
+        views = [block[end - math.prod(s):end].reshape(s) for s, end in zip(parts, ends)]
+        for i, (_, bn) in enumerate(self._layers):
+            bn._xhat, bn._out = views[2 * i], views[2 * i + 1]
+        kept = 2 * len(shapes)
+        self._buffers = {s: views[kept + 2 * i:kept + 2 * i + 2]
+                         for i, s in enumerate(work)}
+        self._shape = shape
+
+    def _buffer(self, shape, avoid=None) -> np.ndarray:
+        """The working array of ``shape`` that is not ``avoid``: a conv
+        output is dead once batch norm has read it, and each backward
+        operator reads one working array and writes the other."""
+        pair = self._buffers[shape]
+        return pair[1] if pair[0] is avoid else pair[0]
 
     def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
         """The (batch, 1, rows, cols) output for a (batch, 1, rows, cols) input.
 
         ``keep`` (a training step) caches what ``backward`` reads: each
-        conv's input, each batch norm's normalised input and each ReLU
-        mask.  A loss-only pass sets ``keep=False``: it caches nothing,
-        drops any earlier pass's caches so that ``backward`` raises, and
-        normalises and rectifies each conv output in place, so each layer's
-        input is freed once the next conv has read it.  The output is the
-        same either way, to the bit.
+        conv's input and each batch norm's normalised input and rectified
+        output.  It writes every array into step buffers, which the next
+        pass of the same batch shape reuses, so the returned array is valid
+        until then.  A loss-only pass sets ``keep=False``: it caches
+        nothing, drops the caches and buffers of earlier passes so that
+        ``backward`` raises, and normalises and rectifies each conv output
+        in place, so each layer's input is freed once the next conv has
+        read it.  The output is the same either way, to the bit.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 4 or x.shape[1] != 1:
@@ -242,29 +355,33 @@ class DenoiseNet:
         if x.shape[2] % s or x.shape[3] % s:
             raise ShapeError(f"spatial dims {x.shape[2:]} not divisible by stride {s}")
         if not keep:
-            # Free every earlier cache before this pass allocates its arrays.
-            self._masks = [None, None, None]
-            for conv, bn in self._layers:
-                conv._x = bn._xhat = bn._inv_std = None
+            # Free every earlier array before this pass allocates its own.
+            self.release()
+        elif x.shape != self._shape:
+            self._allocate(x.shape)
         h = x
-        for i, (conv, bn) in enumerate(self._layers):
-            h = bn.forward(conv.forward(h, keep=keep), keep=keep)
-            if keep:
-                self._masks[i] = h > 0
+        for conv, bn in self._layers:
+            out = self._buffer(conv.out_shape(h.shape)) if keep else None
+            h = bn.forward(conv.forward(h, keep=keep, out=out), keep=keep)
             np.maximum(h, 0.0, out=h)
         return h
 
     def backward(self, upstream: np.ndarray) -> None:
         """Fill every layer's parameter gradients from the loss gradient at
         the output, using the caches of the last ``forward``, which must
-        have kept them; returns nothing.  The gradient at the network input
-        is never computed: no caller reads it."""
-        g = self.conv3.backward(self.bn3.backward(upstream * _cached(self._masks[2])))
-        # The layers' input gradients are fresh arrays: mask them in place.
-        g *= self._masks[1]
-        g = self.conv2.backward(self.bn2.backward(g))
-        g *= self._masks[0]
-        self.conv1.backward(self.bn1.backward(g), input_grad=False)
+        have kept them; returns nothing.  Each ReLU's mask is read from the
+        rectified output that batch norm kept.  The gradient at the network
+        input is never computed: no caller reads it."""
+        h = _cached(self.bn3._out)
+        g = np.multiply(upstream, h > 0, out=self._buffer(h.shape))
+        g = self.bn3.backward(g, out=self._buffer(g.shape, g))
+        g = self.conv3.backward(g, out=self._buffer(self.conv3._x.shape, g))
+        g *= self.bn2._out > 0
+        g = self.bn2.backward(g, out=self._buffer(g.shape, g))
+        g = self.conv2.backward(g, out=self._buffer(self.conv2._x.shape, g))
+        g *= self.bn1._out > 0
+        g = self.bn1.backward(g, out=self._buffer(g.shape, g))
+        self.conv1.backward(g, input_grad=False)
 
     def params(self) -> list[np.ndarray]:
         out = []
@@ -311,7 +428,8 @@ def sgd_train(dataset, cfg: ModelConfig) -> TrainReport:
     The default batch size is the full set for N <= 32, otherwise 8 with
     a per-seed fixed shuffle.  A non-finite loss aborts with the epoch and
     step in the exception.  Only training steps keep activations; the
-    final loss pass keeps none, so the report's model holds none.
+    final loss pass keeps none and drops the step buffers, so the
+    report's model holds neither.
     """
     if len(dataset) == 0:
         raise ValueError("dataset must be non-empty")
@@ -330,6 +448,7 @@ def sgd_train(dataset, cfg: ModelConfig) -> TrainReport:
     if not full:
         pred = None
     epoch_losses = []
+    diff = None  # pred - target, reused from step to step like the layers' buffers
     for epoch in range(cfg.epochs):
         order = None if full else shuffle_rng.permutation(n)
         total = 0.0
@@ -341,16 +460,22 @@ def sgd_train(dataset, cfg: ModelConfig) -> TrainReport:
                 xb, tb = x[idx], t[idx]
             if pred is None:
                 pred = net.forward(xb)
-            loss = mse_loss(pred, tb)
+            # mse_loss and then mse_grad, in place on one difference.
+            diff = np.subtract(pred, tb, out=_reuse(diff, pred.shape))
+            loss = float(np.mean(diff * diff))
             if not np.isfinite(loss):
                 raise DivergenceError(epoch, step)
             total += loss * len(tb)
-            net.backward(mse_grad(pred, tb))
+            diff *= 2.0
+            diff /= diff.size
+            net.backward(diff)
             # Drop the step's arrays before the next pass allocates its own.
             pred = xb = tb = None
             for p, g in zip(net.params(), net.grads()):
                 p -= cfg.learning_rate * g
         epoch_losses.append(total / n)
+    diff = None
+    # A loss-only pass: it also drops the layers' step buffers.
     final = mse_loss(net.forward(x, keep=False), t)
     if not np.isfinite(final):
         raise DivergenceError(cfg.epochs, 0)

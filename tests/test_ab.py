@@ -59,6 +59,21 @@ def test_summary_compares_medians_and_counts_wins():
     assert got["work_per_s"]["change_wins"] == 1  # ties count for neither
 
 
+def test_tier1_timing_runs_the_command_in_the_tree(tmp_path):
+    # A stand-in for the suite: it prints pytest's closing line and shows
+    # that the tree's src/ is importable.
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "probe.py").write_text("VALUE = 7\n")
+    script = "import probe; print('== 3 passed, 1 failed in 0.01s ==' if probe.VALUE == 7 else '')"
+    got = ab.time_tier1(tmp_path, (sys.executable, "-c", script))
+    assert got["result"] == "3 passed, 1 failed in 0.01s"
+    assert got["returncode"] == 0 and got["seconds"] >= 0
+    assert ab.parse_args(["--base", "x", "--label", "y", "--change", "z",
+                          "--seeds", "1", "--pairs", "1", "--tier1"]).tier1
+    assert not ab.parse_args(["--base", "x", "--label", "y", "--change", "z",
+                              "--seeds", "1", "--pairs", "1"]).tier1
+
+
 @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
 def test_one_pair_writes_a_bench_file(tmp_path):
     repo = tmp_path / "repo"

@@ -146,6 +146,21 @@ class TestUsageErrors:
         assert "smoothness" in err and "usage:" in err
         assert not out.exists() or list(out.iterdir()) == []
 
+    # Every non-constant frequency's gain vanishes or falls below rounding,
+    # so the clean images would come out constant (they were all zero).
+    @pytest.mark.parametrize("smoothness", ["0.1", "0.01", "1e-160"])
+    def test_smoothness_that_leaves_constant_images_rejected(self, tmp_path, capsys,
+                                                            smoothness):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run(tmp_path, "gen-data", "--n-images", "2", "--rows", "8",
+                            "--cols", "8", "--smoothness", smoothness)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "smoothness" in err and "constant" in err and "usage:" in err
+        assert "Warning" not in err and caught == []
+        assert not out.exists() or list(out.iterdir()) == []
+
     def test_internal_type_error_is_not_a_usage_error(self, tmp_path,
                                                       monkeypatch):
         def broken(*args):

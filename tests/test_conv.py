@@ -548,6 +548,89 @@ class TestPhaseGather:
             assert rel_err(analytic[m:m + 1], fd) < 1e-6
 
 
+class TestFusedGathers:
+    """A layer's backward pass gathers the upstream's windows once and
+    takes both gradients from them."""
+
+    # (batch, in_channels, filters, K, rows, cols): one small case, a batch
+    # that spans several column chunks, and 17 x 16 = 272 pixels, a
+    # contraction longer than one BLAS block.
+    CASES = [(2, 2, 3, 3, 7, 6), (40, 3, 4, 5, 9, 8), (2, 3, 2, 5, 17, 16)]
+
+    @staticmethod
+    def make_case(bsz, cin, fout, k, rows, cols, stride=1, seed=50):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((bsz, cin, rows, cols))
+        kernel = KernelStack(rng.standard_normal((fout, cin, k, k)),
+                             rng.standard_normal(fout))
+        phi = rng.uniform(0.1, 2.0, (k, k))
+        up = rng.standard_normal((bsz, fout, -(-rows // stride), -(-cols // stride)))
+        return x, scale_kernel(kernel, phi), phi, up
+
+    @staticmethod
+    def count_gathers(monkeypatch):
+        calls = []
+        columns = conv._columns
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return columns(*args, **kwargs)
+
+        monkeypatch.setattr(conv, "_columns", counted)
+        return calls
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_input_gradient_and_weight_gradient_from_one_gather(self, case,
+                                                                monkeypatch):
+        x, folded, phi, up = self.make_case(*case)
+        want_input = grad_input(folded, up, x.shape[2:])
+        want = grad_weights(x, phi, up)
+        calls = self.count_gathers(monkeypatch)
+        got = grad_input(folded, up, x.shape[2:], x=x, density=phi)
+        assert calls == [up.shape]
+        np.testing.assert_array_equal(got.input, want_input)
+        assert rel_err(got.weights, want.weights) < 1e-14
+        np.testing.assert_array_equal(got.bias, want.bias)
+
+    def test_input_gradient_with_weights_at_stride_two(self):
+        x, folded, phi, up = self.make_case(3, 2, 3, 3, 7, 6, stride=2)
+        got = grad_input(folded, up, x.shape[2:], 2, x=x, density=phi)
+        np.testing.assert_array_equal(got.input, grad_input(folded, up, x.shape[2:], 2))
+        np.testing.assert_array_equal(got.weights, grad_weights(x, phi, up, 2).weights)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("case", CASES)
+    def test_weight_gradient_and_conv_from_one_gather(self, case, stride,
+                                                      monkeypatch):
+        x, folded, phi, up = self.make_case(*case, stride=stride)
+        adjoint = KernelStack(folded.weights)  # a transposed layer's: no bias
+        want = grad_weights(x, phi, up, stride)
+        want_conv = conv2d(x, adjoint, stride)
+        calls = self.count_gathers(monkeypatch)
+        got = grad_weights(x, phi, up, stride, kernel=adjoint)
+        assert calls == [x.shape]
+        np.testing.assert_array_equal(got.weights, want.weights)
+        np.testing.assert_array_equal(got.bias, want.bias)
+        np.testing.assert_array_equal(got.input, want_conv)
+        assert want.input is None
+
+    def test_results_land_in_the_given_arrays(self):
+        x, folded, phi, up = self.make_case(2, 2, 3, 3, 7, 6)
+        unbiased = KernelStack(folded.weights)
+        for call, shape in [
+                (lambda out: conv2d(x, folded, out=out), up.shape),
+                (lambda out: conv2d_transposed_weighted(up, unbiased, out=out), x.shape),
+                (lambda out: grad_input(folded, up, x.shape[2:], out=out), x.shape),
+                (lambda out: grad_input(folded, up, x.shape[2:], x=x, density=phi,
+                                        out=out).input, x.shape),
+                (lambda out: grad_weights(x, phi, up, kernel=unbiased,
+                                          out=out).input, up.shape)]:
+            out = np.full(shape, np.nan)
+            assert call(out) is out and np.all(np.isfinite(out))
+            with pytest.raises(ShapeError, match="out has shape"):
+                call(np.empty(shape[:-1] + (shape[-1] + 1,)))
+
+
 class TestGemmWidth:
     """Criterion 8 times one 192 x 192 image; its products must be cut to
     ``_GEMM_WIDTH`` columns, where OpenBLAS runs them fast at any thread
@@ -562,9 +645,9 @@ class TestGemmWidth:
         widths = []
         matmul = np.matmul
 
-        def recording(a, b):
+        def recording(a, b, **kwargs):
             widths.append(np.shape(b)[-1])
-            return matmul(a, b)
+            return matmul(a, b, **kwargs)
 
         monkeypatch.setattr(np, "matmul", recording)
         conv2d(x, kernel)

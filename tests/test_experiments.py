@@ -50,6 +50,12 @@ class TestGenDataset:
         assert residual.size >= 1_000_000
         assert abs(residual.std() - 0.1) / 0.1 < 0.03
 
+    def test_one_pixel_image_stays_zero_at_any_smoothness(self):
+        for smoothness in (4.0, 1e-160):
+            [(noisy, clean)] = gen_dataset(DatasetSpec(
+                n_images=1, rows=1, cols=1, noise_sigma=0.0, smoothness=smoothness))
+            assert clean.tolist() == [[0.0]] and noisy.tolist() == [[0.0]]
+
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
             DatasetSpec(n_images=0)

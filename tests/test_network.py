@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import fd_gradient, rel_err
+from wconv import conv, network
 from wconv.conv import conv2d_transposed_weighted, conv2d_weighted, scale_kernel
 from wconv.density import density_matrix, named_density
 from wconv.errors import DegenerateBatchError, DivergenceError, ShapeError
@@ -352,12 +353,15 @@ def gaussian_net(channels=3, stride=2, seed=4):
 
 
 def cached_arrays(net):
-    """Every activation the net holds for a backward pass, by name."""
-    arrays = {f"mask{i}": m for i, m in enumerate(net._masks)}
+    """Every array the net holds for a backward pass, by name: the caches
+    and the step buffers."""
+    arrays = {}
     for i, (conv, bn) in enumerate([(net.conv1, net.bn1), (net.conv2, net.bn2),
                                     (net.conv3, net.bn3)], 1):
         arrays.update({f"conv{i}._x": conv._x, f"bn{i}._xhat": bn._xhat,
-                       f"bn{i}._inv_std": bn._inv_std})
+                       f"bn{i}._inv_std": bn._inv_std, f"bn{i}._out": bn._out})
+    for shape, pair in net._buffers.items():
+        arrays.update({f"buffer{shape}[{j}]": a for j, a in enumerate(pair)})
     return {name: a for name, a in arrays.items() if a is not None}
 
 
@@ -384,7 +388,10 @@ class TestLossOnlyPasses:
         net = gaussian_net()
         x = np.random.default_rng(10).standard_normal((2, 1, 8, 8))
         net.forward(x)
-        assert len(cached_arrays(net)) == 12
+        # Each conv's input; each batch norm's normalised input, inverse
+        # deviation and rectified output; two working arrays for each of
+        # the two layer output shapes.
+        assert len(cached_arrays(net)) == 3 + 3 * 3 + 2 * 2
         net.forward(x, keep=False)
         assert cached_arrays(net) == {}
 
@@ -425,6 +432,73 @@ class TestLossOnlyPasses:
         finally:
             tracemalloc.stop()
         assert peak < 4 * activation
+
+
+class TestStepBuffers:
+    """A training step writes into buffers that the next step reuses."""
+
+    def test_steady_state_steps_allocate_no_activation(self, monkeypatch):
+        # The desk shape: one activation (1.3 MB) is larger than a column
+        # chunk's budget.  After the first step, each step's allocations
+        # beyond the buffers the net holds stay within one column chunk:
+        # the gathers' buffer and small temporaries, no activation.
+        data = tiny_dataset(n=20, size=64, seed=6)
+        cfg = ModelConfig(channels=2, kernel=3, epochs=4, seed=2,
+                          density=density_matrix(named_density("gaussian", 3)))
+        assert 20 * 2 * 64 * 64 * 8 > conv._COLUMN_BYTES
+        growth, start = [], []
+        backward = DenoiseNet.backward
+
+        def traced(net, upstream):
+            backward(net, upstream)
+            if start:
+                growth.append(tracemalloc.get_traced_memory()[1] - start[-1])
+            tracemalloc.reset_peak()
+            start.append(tracemalloc.get_traced_memory()[0])
+
+        monkeypatch.setattr(DenoiseNet, "backward", traced)
+        tracemalloc.start()
+        try:
+            sgd_train(data, cfg)
+        finally:
+            tracemalloc.stop()
+        assert len(growth) == cfg.epochs - 1
+        assert max(growth) <= conv._COLUMN_BYTES
+
+    def test_buffers_are_reused_while_the_shape_holds(self):
+        net = gaussian_net()
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((2, 1, 8, 8))
+        first = net.forward(x)
+        net.backward(np.ones_like(first))
+        assert net.forward(2.0 * x) is first
+        # One allocation holds every buffer of the step.
+        bns = (net.bn1, net.bn2, net.bn3)
+        held = ([bn._xhat for bn in bns] + [bn._out for bn in bns]
+                + [a for pair in net._buffers.values() for a in pair])
+        assert all(a.base is first.base for a in held)
+        again = net.forward(rng.standard_normal((3, 1, 8, 8)))
+        assert again is not first and again.shape == (3, 1, 8, 8)
+
+    def test_channel_blocks_do_not_change_the_bits(self, monkeypatch):
+        # Batch norm's elementwise passes run a block of channels at a time;
+        # the statistics are reduced over the whole batch either way.
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((3, 4, 6, 5))
+        up = rng.standard_normal(x.shape)
+
+        def run():
+            bn = BatchNorm2d(4)
+            bn.gamma[:] = [0.5, 2.0, -1.0, 1.5]
+            bn.beta[:] = [0.1, 0.0, -0.3, 0.2]
+            out = bn.forward(x).copy()
+            return out, bn.backward(up), bn.grad_gamma, bn.grad_beta
+
+        whole = run()
+        monkeypatch.setattr(network, "_CHANNEL_BLOCK_BYTES", x.nbytes // 4)
+        assert len(network._channel_blocks(x)) == 4
+        for a, b in zip(whole, run()):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestModelConfigValidation:

@@ -16,26 +16,32 @@ Writes ``BENCH_<label>.json`` at the repo root: per workload, each side's
 median and quartiles of every end-to-end metric ``BENCHMARK.json`` lists,
 the change's median over the base's, the pairs the change won, and the
 environment ``run.py`` recorded.  It refuses to write the file if any
-environment field is null or the two sides' environments differ.  The
-worktree is removed when the script ends.
+environment field is null or the two sides' environments differ.  With
+``--tier1`` it also times one run of the tier-1 test suite per side, base
+first, after the workloads, and records its wall time and result line.
+The worktree is removed when the script ends.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = ROOT / "BENCHMARK.json"
 # The environment fields a BENCH file records for each workload.
 ENV_KEYS = ("nproc", "cpu", "python", "numpy", "blas", "threads", "seconds")
+# The tier-1 test suite, run from a tree's root with its src/ importable.
+TIER1 = (sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors")
 METHOD = ("alternating pairs (base first on even pairs, change first on odd), "
           "one seed per pair; medians and inclusive quartiles of the per-run "
           "values")
@@ -156,6 +162,21 @@ def measure(base_tree: Path, plan: dict[str, int], seeds: list[int],
     return result
 
 
+def time_tier1(tree: Path, command=TIER1) -> dict:
+    """Wall time, exit code and pytest's closing result line of one run of
+    ``command`` in ``tree`` with the tree's ``src/`` on the import path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    proc = subprocess.run(list(command), cwd=tree, env=env, capture_output=True,
+                          text=True)
+    seconds = time.perf_counter() - start
+    results = [line.strip("= ") for line in proc.stdout.splitlines()
+               if re.search(r"\d+ (passed|failed|error)", line)]
+    return {"seconds": round(seconds, 2), "returncode": proc.returncode,
+            "result": results[-1] if results else None}
+
+
 def parse_args(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--base", required=True, help="git revision to compare against")
@@ -167,6 +188,8 @@ def parse_args(argv=None):
                    help="N for every workload, or W=N for workload W (repeatable)")
     p.add_argument("--seconds", type=float, default=None,
                    help="run.py window (default: BENCHMARK.json's run_seconds)")
+    p.add_argument("--tier1", action="store_true",
+                   help="also time one tier-1 test run per side")
     return p.parse_args(argv)
 
 
@@ -198,6 +221,8 @@ def main(argv=None) -> int:
                         ignore=shutil.ignore_patterns("__pycache__", ".pytest_cache"))
         workloads = measure(base_tree, plan, args.seeds, seconds,
                             bench["end_to_end"])
+        tier1 = ({side: time_tier1(tree) for side, tree in
+                  (("base", base_tree), ("change", ROOT))} if args.tier1 else None)
     except (RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -211,6 +236,9 @@ def main(argv=None) -> int:
                    f"--seconds {seconds:g} --trace 0",
         "method": METHOD, "workloads": workloads,
     }
+    if tier1 is not None:
+        record["tier1"] = {"command": "PYTHONPATH=src " + " ".join(
+            ["python3", *TIER1[1:]]), **tier1}
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     for workload, w in workloads.items():
@@ -218,6 +246,9 @@ def main(argv=None) -> int:
             print(f"{workload:<14} {name:<12} base {m['base']['median']:<10g} "
                   f"change {m['change']['median']:<10g} x{m['change_over_base']}  "
                   f"wins {m['change_wins']}/{w['pairs']}")
+    if tier1 is not None:
+        for side, run in tier1.items():
+            print(f"tier-1 {side:<6} {run['seconds']} s  {run['result']}")
     print(f"wrote {out}")
     return 0
 
