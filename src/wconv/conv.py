@@ -26,10 +26,12 @@ with the batch.  No BLAS product contracts more than ``_GEMM_DEPTH``
 terms, so results do not depend on the BLAS thread count, and none is
 wider than ``_GEMM_WIDTH`` pixels, where threaded OpenBLAS slows down.
 
-A layer's backward pass takes both of its gradients from one gather.  At
-stride 1 the weight gradient of a conv is its input times the transposed
-upstream columns that the input gradient gathers (``grad_input`` given
-the input), and the input gradient of a transposed conv is the strided
+A layer's backward pass takes both of its gradients from one gather, and
+the gradient operators return only what that gather makes; the bias
+gradient, the upstream summed per channel, is the layer's own.  The weight
+gradient of a stride-1 conv is its input times the transposed upstream
+columns that the input gradient gathers (``grad_input`` given the input,
+stride 1 only), and the input gradient of a transposed conv is the strided
 conv of the upstream windows that its weight gradient gathers
 (``grad_weights`` given the kernel).  Every operator that training calls
 writes into a caller's array when given one (``out``), so a training step
@@ -365,19 +367,18 @@ def conv2d_transposed_weighted(y, kernel: KernelStack, upsample: int = 1, *,
 
 
 class WeightGrad(NamedTuple):
-    """Weight and bias gradients.  Unlike a ``KernelStack`` they are not
-    checked for finiteness: an overflow is a divergence, which the
-    trainer's loss check reports, not invalid input.  ``input`` is a
-    layer's input gradient when the call made it from the same gather."""
+    """The weight gradient, and a layer's input gradient (``input``) when
+    the call made it from the same gather; no bias gradient.  Unlike a
+    ``KernelStack`` they are not checked for finiteness: an overflow is a
+    divergence, which the trainer's loss check reports, not invalid input."""
 
     weights: np.ndarray
-    bias: np.ndarray
     input: np.ndarray | None = None
 
 
 def grad_weights(x, density, upstream, stride: int = 1, *,
                  kernel: KernelStack | None = None, out=None) -> WeightGrad:
-    """Loss gradient with respect to the kernel weights and bias.
+    """Loss gradient with respect to the kernel weights.
 
     ``upstream`` is the loss gradient at the conv output.  The density
     multiplies each tap's gradient, giving the gradient of the weights
@@ -385,10 +386,11 @@ def grad_weights(x, density, upstream, stride: int = 1, *,
     gradient bit for bit.
 
     With ``kernel``, the folded kernel of this conv, ``input`` is also
-    ``conv2d(x, kernel, stride)`` (written into ``out`` when given), from
-    the windows of ``x`` the weight gradient gathers: the input gradient of
-    the transposed conv layer that maps ``upstream`` back to ``x``, whose
-    weight gradient this is.
+    ``conv2d(x, KernelStack(kernel.weights), stride)`` (written into
+    ``out`` when given), from the windows of ``x`` the weight gradient
+    gathers: the input gradient of the transposed conv layer that maps
+    ``upstream`` back to ``x``, whose weight gradient this is.  An input
+    gradient has no bias, so ``kernel.bias`` is ignored.
     """
     x = _check_operand(x, None, stride)
     upstream = _check_operand(upstream, None, stride, "upstream")
@@ -404,18 +406,13 @@ def grad_weights(x, density, upstream, stride: int = 1, *,
         if kernel.weights.shape != (fout, cin, k, k):
             raise ShapeError(f"kernel shape {kernel.weights.shape} does not match "
                              f"the gradient's {(fout, cin, k, k)}")
-        _check_bias(kernel, fout)
         out = _output(out, upstream.shape)
     gw = _contract(x, _centred(k), stride, ro, co,
                    w2=None if kernel is None else kernel.weights.reshape(fout, -1),
                    out=out, up=upstream.reshape(bsz, fout, ro * co))
     gw = gw.reshape(fout, cin, k, k)
     gw *= density
-    if kernel is None:
-        return WeightGrad(gw, upstream.sum(axis=(0, 2, 3)))
-    if kernel.bias is not None:
-        out += kernel.bias[:, None, None]
-    return WeightGrad(gw, upstream.sum(axis=(0, 2, 3)), out)
+    return WeightGrad(gw, None if kernel is None else out)
 
 
 def grad_input(kernel: KernelStack, upstream, input_hw=None, stride: int = 1,
@@ -424,11 +421,11 @@ def grad_input(kernel: KernelStack, upstream, input_hw=None, stride: int = 1,
     upstream) for ``kernel``, the density already folded in; written into
     ``out`` when given.
 
-    With the conv's input ``x`` and its ``density``, returns the
-    ``WeightGrad`` that ``grad_weights(x, density, upstream, stride)``
-    would, equal up to rounding, with the input gradient as its ``input``.
-    At stride 1 the weight gradient is ``x`` times the transposed upstream
-    columns that the input gradient gathers, so the pass gathers once.
+    With the conv's input ``x`` and its ``density`` (stride 1 only),
+    returns the ``WeightGrad`` that ``grad_weights(x, density, upstream)``
+    would, equal up to rounding, with the input gradient as its ``input``:
+    the weight gradient is ``x`` times the transposed upstream columns
+    that the input gradient gathers, so the pass gathers once.
     """
     upstream = _check_operand(upstream, kernel.filters, stride, "upstream")
     if input_hw is None:
@@ -438,20 +435,19 @@ def grad_input(kernel: KernelStack, upstream, input_hw=None, stride: int = 1,
         raise ShapeError(f"input size {rows}x{cols} inconsistent with upstream/stride")
     if x is None:
         return _transposed(kernel.weights, upstream, rows, cols, stride, out)[0]
+    if stride != 1:
+        raise ValueError(f"the fused input and weight gradient needs stride 1, "
+                         f"got stride {stride}")
     x = _check_operand(x, kernel.in_channels, stride)
     if x.shape != (upstream.shape[0], kernel.in_channels, rows, cols):
         raise ShapeError(f"input shape {x.shape} does not match upstream and "
                          f"input size {rows}x{cols}")
     density = _check_density(density, kernel.k)
-    if stride != 1:
-        g = grad_weights(x, density, upstream, stride)
-        return g._replace(input=_transposed(kernel.weights, upstream, rows, cols,
-                                            stride, out)[0])
     dx, acc = _transposed(kernel.weights, upstream, rows, cols, 1, out, x)
     fout, cin, k, _ = kernel.weights.shape
     gw = np.ascontiguousarray(acc.reshape(cin, fout, k, k).transpose(1, 0, 2, 3))
     gw *= density
-    return WeightGrad(gw, upstream.sum(axis=(0, 2, 3)), dx)
+    return WeightGrad(gw, dx)
 
 
 def flop_count(rows: int, cols: int, filters: int, k: int, weighted: bool) -> int:

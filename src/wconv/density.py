@@ -9,6 +9,8 @@ length-K vector carries only (K - 1) / 2 free coefficients.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +19,9 @@ FAMILIES = ("uniform", "linear", "gaussian", "cubic")
 # Shape parameters of the linear and gaussian families.
 LINEAR_SLOPE = 0.3
 GAUSSIAN_SIGMA = 1.5
+# Largest density value: sqrt(float max) ~ 1.34e154, so that every entry of
+# the density matrix alpha alpha^T is finite.
+MAX_DENSITY_VALUE = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,6 +38,11 @@ class DensityVector:
             raise ValueError(f"expected an odd-length vector, got shape {vals.shape}")
         if not np.all(np.isfinite(vals)) or np.any(vals < 0):
             raise ValueError("density values must be finite and non-negative")
+        if np.any(vals > MAX_DENSITY_VALUE):
+            raise ValueError(
+                f"density value {float(vals.max())!r} exceeds {MAX_DENSITY_VALUE!r}: "
+                "the density matrix alpha alpha^T would overflow"
+            )
         if vals[vals.shape[0] // 2] != self.center_value:
             raise ValueError(
                 f"central value {vals[vals.shape[0] // 2]} != {self.center_value}"

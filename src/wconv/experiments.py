@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .conv import KernelStack, conv2d, conv2d_weighted, scale_kernel
-from .density import (DensityVector, density_from_free, density_matrix,
-                      named_density)
+from .density import (MAX_DENSITY_VALUE, DensityVector, density_from_free,
+                      density_matrix, named_density)
 from .directl import DirectConfig, TraceRow, minimize
 from .errors import DivergenceError, SearchDivergedError
 from .network import ModelConfig, mse_loss, sgd_train
@@ -66,9 +66,12 @@ def gen_dataset(spec: DatasetSpec):
 
     Clean images are low-pass-filtered white noise rescaled to [0, 1];
     noisy ones add zero-mean Gaussian noise of the requested deviation,
-    clipped back to [0, 1].  A smoothness so small that the filter leaves
-    an image of more than one pixel constant is a ``ValueError``; a 1x1
-    image is constant by nature and comes out as 0.
+    clipped back to [0, 1].  Noise that overflows float64 saturates
+    without a warning: it is +-inf and clips to 0 or 1, so at
+    ``noise_sigma`` = 1e308 every noisy pixel is 0 or 1.  A smoothness so
+    small that the filter leaves an image of more than one pixel constant
+    is a ``ValueError``; a 1x1 image is constant by nature and comes out
+    as 0.
     """
     rng = np.random.default_rng(spec.seed)
     pairs = []
@@ -84,7 +87,8 @@ def gen_dataset(spec: DatasetSpec):
             raise ValueError(f"smoothness {spec.smoothness!r} is too small: the "
                              f"low-pass filter leaves {spec.rows}x{spec.cols} "
                              "images constant")
-        noisy = clean + rng.standard_normal(clean.shape) * spec.noise_sigma
+        with np.errstate(over="ignore"):
+            noisy = clean + rng.standard_normal(clean.shape) * spec.noise_sigma
         pairs.append((np.clip(noisy, 0.0, 1.0), clean))
     return pairs
 
@@ -113,17 +117,24 @@ def build_direct_config(k: int, max_evals: int = 60, max_iters: int = 40,
                         alpha_lo: float | None = None,
                         alpha_hi: float | None = None) -> DirectConfig:
     """DIRECT over the free coefficients, each in [alpha_lo, alpha_hi]
-    (default ``default_alpha_bounds(k)``), checked before any training.
-    The tolerances default to ``DirectConfig``'s."""
+    (default ``default_alpha_bounds(k)``), checked before any training:
+    alpha_lo must be >= 0 and alpha_hi at most ``MAX_DENSITY_VALUE``, so
+    that no density in the box overflows.  The tolerances default to
+    ``DirectConfig``'s."""
     if (alpha_lo is None) != (alpha_hi is None):
         raise ValueError("alpha_lo and alpha_hi must be given together")
     lo, hi = (alpha_lo, alpha_hi) if alpha_lo is not None else default_alpha_bounds(k)
     if lo < 0:
         raise ValueError(f"alpha_lo must be >= 0, got {lo!r}")
     n_free = (k - 1) // 2
-    return DirectConfig(np.full(n_free, lo), np.full(n_free, hi),
-                        f_tol=f_tol, max_evals=max_evals, max_iters=max_iters,
-                        epsilon=epsilon)
+    cfg = DirectConfig(np.full(n_free, lo), np.full(n_free, hi),
+                       f_tol=f_tol, max_evals=max_evals, max_iters=max_iters,
+                       epsilon=epsilon)
+    # After DirectConfig, whose message names a non-finite bound.
+    if hi > MAX_DENSITY_VALUE:
+        raise ValueError(f"alpha_hi {hi!r} exceeds {MAX_DENSITY_VALUE!r}: the "
+                         "density matrix alpha alpha^T would overflow")
+    return cfg
 
 
 def _training_objective(dataset, model_cfg: ModelConfig):

@@ -88,10 +88,6 @@ def mse_loss(pred, target) -> float:
     return float(np.mean(diff * diff))
 
 
-def mse_grad(pred, target) -> np.ndarray:
-    return 2.0 * (pred - target) / pred.size
-
-
 def _cached(value):
     """An array that a forward pass cached for the backward pass."""
     if value is None:
@@ -203,7 +199,8 @@ class BatchNorm2d:
 class _WeightedConv:
     """Conv layer that runs the plain operators on ``folded = density *
     kernel``, refolded every forward pass; its weight gradient is
-    ``density * dL/dfolded``, which ``grad_weights`` returns given the density."""
+    ``density * dL/dfolded``, which ``grad_weights`` returns given the
+    density, and its bias gradient the upstream summed per channel."""
 
     def __init__(self, kernel: KernelStack, density: np.ndarray, stride: int):
         self.kernel = kernel
@@ -242,18 +239,13 @@ class _WeightedConv:
                            x=x, density=self.density, out=out)
         else:
             g = grad_weights(x, self.density, upstream, stride=self.stride)
-        self.grad_w, self.grad_b = g.weights, g.bias
+        self.grad_w = g.weights
+        self.grad_b = upstream.sum(axis=(0, 2, 3))
         return g.input
 
 
 class _TransposedWeightedConv(_WeightedConv):
     """The adjoint of a strided conv layer, upsampling by ``stride``."""
-
-    def __init__(self, kernel: KernelStack, density: np.ndarray, stride: int):
-        super().__init__(kernel, density, stride)
-        # The folded weights without the bias: the strided conv that maps
-        # this layer's output gradient to its input gradient.
-        self._adjoint = KernelStack(self.folded.weights)
 
     def out_shape(self, shape) -> tuple:
         s = self.stride
@@ -268,10 +260,10 @@ class _TransposedWeightedConv(_WeightedConv):
     def backward(self, upstream: np.ndarray, out=None) -> np.ndarray:
         # The forward map is the adjoint of a strided conv, so the weight
         # gradient swaps the roles of input and upstream, and the input
-        # gradient is the strided conv itself: both read the upstream's
-        # windows, gathered once.
+        # gradient is the strided conv itself, without the bias: both read
+        # the upstream's windows, gathered once.
         g = grad_weights(upstream, self.density, _cached(self._x),
-                         stride=self.stride, kernel=self._adjoint, out=out)
+                         stride=self.stride, kernel=self.folded, out=out)
         self.grad_w = g.weights
         self.grad_b = upstream.sum(axis=(0, 2, 3))
         return g.input
@@ -460,7 +452,8 @@ def sgd_train(dataset, cfg: ModelConfig) -> TrainReport:
                 xb, tb = x[idx], t[idx]
             if pred is None:
                 pred = net.forward(xb)
-            # mse_loss and then mse_grad, in place on one difference.
+            # The loss and its gradient 2 * (pred - target) / size, in
+            # place on one difference.
             diff = np.subtract(pred, tb, out=_reuse(diff, pred.shape))
             loss = float(np.mean(diff * diff))
             if not np.isfinite(loss):

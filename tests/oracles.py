@@ -1,8 +1,8 @@
 """Brute-force reference implementations the fast paths are tested against.
 
-Everything here except ``grad_density`` is deliberately written as plain
-nested loops over scalar arithmetic, independent of the vectorized code
-under test.
+Everything here except ``mse_grad`` and ``grad_density`` is deliberately
+written as plain nested loops over scalar arithmetic, independent of the
+vectorized code under test.
 """
 
 import numpy as np
@@ -128,6 +128,11 @@ def rel_err(a, b):
     b = np.asarray(b, dtype=np.float64)
     scale = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-12)
     return float(np.max(np.abs(a - b)) / scale)
+
+
+def mse_grad(pred, target):
+    """Gradient of the mean squared error with respect to ``pred``."""
+    return 2.0 * (pred - target) / pred.size
 
 
 def grad_density(x, kernel, upstream, stride=1):

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import conv_oracle, fd_gradient, grad_density, rel_err
+from oracles import conv_oracle, fd_gradient, grad_density, mse_grad, rel_err
 from wconv.cli import dispatch
 from wconv.conv import (KernelStack, conv2d, conv2d_weighted, grad_input,
                         grad_weights, scale_kernel)
@@ -20,7 +20,7 @@ from wconv.experiments import (DatasetSpec, bench_overhead,
                                build_direct_config, compare_densities,
                                gen_dataset, optimize_density, split_dataset,
                                sweep_hyperparams)
-from wconv.network import DenoiseNet, ModelConfig, mse_grad, mse_loss
+from wconv.network import DenoiseNet, ModelConfig, mse_loss
 from wconv.spectral import run_verification
 
 pytestmark = pytest.mark.acceptance

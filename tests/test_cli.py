@@ -146,6 +146,60 @@ class TestUsageErrors:
         assert "smoothness" in err and "usage:" in err
         assert not out.exists() or list(out.iterdir()) == []
 
+    # alpha alpha^T overflows float64 for a value above sqrt(float max).
+    @pytest.mark.parametrize("source", ["alpha", "density-file", "config"])
+    def test_density_that_overflows_rejected(self, tmp_path, capsys, monkeypatch,
+                                             source):
+        trainings = count_trainings(monkeypatch)
+        monkeypatch.setattr(cli, "sgd_train", experiments.sgd_train)
+        argv = ["train", "--n-images", "2", "--rows", "8", "--cols", "8",
+                "--epochs", "1", "--kernel", "3"]
+        record = {"K": 3, "M": 1.0, "values": [1e308, 1.0, 1e308]}
+        if source == "alpha":
+            argv += ["--alpha", "1e308"]
+        elif source == "density-file":
+            path = tmp_path / "density.json"
+            path.write_text(json.dumps(record))
+            argv += ["--density-file", str(path)]
+        else:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"density": record}))
+            argv = ["--config", str(path), *argv]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run(tmp_path, *argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "density value 1e+308 exceeds" in err and "usage:" in err
+        assert "Warning" not in err and caught == []
+        assert trainings == []
+        assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    def test_alpha_hi_whose_density_overflows_rejected(self, tmp_path, capsys,
+                                                       monkeypatch, source):
+        trainings = count_trainings(monkeypatch)
+        generated = []
+        monkeypatch.setattr(cli, "gen_dataset",
+                            lambda spec: generated.append(spec))
+        argv = ["optimize-density", "--kernel", "3", "--n-images", "2",
+                "--rows", "8", "--cols", "8", "--epochs", "1", "--max-evals", "3"]
+        if source == "config":
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"direct": {"alpha_lo": 0, "alpha_hi": 1e308}}))
+            argv = ["--config", str(path), *argv]
+        else:
+            argv += ["--alpha-lo", "0", "--alpha-hi", "1e308"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run(tmp_path, *argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "alpha_hi 1e+308 exceeds" in err and "usage:" in err
+        assert "Warning" not in err and caught == []
+        assert trainings == [] and generated == []
+        assert not out.exists() or list(out.iterdir()) == []
+
     # Every non-constant frequency's gain vanishes or falls below rounding,
     # so the clean images would come out constant (they were all zero).
     @pytest.mark.parametrize("smoothness", ["0.1", "0.01", "1e-160"])
@@ -192,6 +246,17 @@ class TestGenData:
 
 
 class TestTrain:
+    def test_overflowing_noise_sigma_saturates_without_warning(self, tmp_path,
+                                                               capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run(tmp_path, "train", "--n-images", "2", "--rows", "8",
+                            "--cols", "8", "--epochs", "1", "--kernel", "3",
+                            "--noise-sigma", "1e308")
+        assert code == 0
+        assert "Warning" not in capsys.readouterr().err and caught == []
+        assert (out / "train_report.csv").exists()
+
     def test_report_files_written(self, tmp_path):
         code, out = run(tmp_path, "train", *MICRO_DATA, *MICRO_MODEL)
         assert code == 0

@@ -179,7 +179,6 @@ class TestGradWeights:
         x = np.ones((1, 1, 4, 4))
         g = grad_weights(x, np.ones((3, 3)), np.zeros((1, 1, 4, 4)))
         assert not np.any(g.weights)
-        assert not np.any(g.bias)
 
     def test_non_finite_gradient_is_returned_not_rejected(self):
         # An overflowed gradient is a divergence for the trainer to report,
@@ -187,7 +186,6 @@ class TestGradWeights:
         g = grad_weights(np.ones((1, 1, 4, 4)), np.full((3, 3), np.nan),
                          np.ones((1, 1, 4, 4)))
         assert np.all(np.isnan(g.weights))
-        np.testing.assert_array_equal(g.bias, [16.0])
 
     def test_uniform_density_equals_plain_gradient(self):
         # The plain conv is linear in its weights, so the gradient entry of
@@ -590,13 +588,11 @@ class TestFusedGathers:
         assert calls == [up.shape]
         np.testing.assert_array_equal(got.input, want_input)
         assert rel_err(got.weights, want.weights) < 1e-14
-        np.testing.assert_array_equal(got.bias, want.bias)
 
-    def test_input_gradient_with_weights_at_stride_two(self):
+    def test_fused_input_gradient_needs_stride_one(self):
         x, folded, phi, up = self.make_case(3, 2, 3, 3, 7, 6, stride=2)
-        got = grad_input(folded, up, x.shape[2:], 2, x=x, density=phi)
-        np.testing.assert_array_equal(got.input, grad_input(folded, up, x.shape[2:], 2))
-        np.testing.assert_array_equal(got.weights, grad_weights(x, phi, up, 2).weights)
+        with pytest.raises(ValueError, match="stride 2"):
+            grad_input(folded, up, x.shape[2:], 2, x=x, density=phi)
 
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("case", CASES)
@@ -610,9 +606,19 @@ class TestFusedGathers:
         got = grad_weights(x, phi, up, stride, kernel=adjoint)
         assert calls == [x.shape]
         np.testing.assert_array_equal(got.weights, want.weights)
-        np.testing.assert_array_equal(got.bias, want.bias)
         np.testing.assert_array_equal(got.input, want_conv)
         assert want.input is None
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_fused_conv_ignores_the_kernel_bias(self, stride):
+        # An input gradient has no bias: the folded kernel's bias, of
+        # either direction's length, leaves the fused conv unbiased.
+        x, folded, phi, up = self.make_case(2, 2, 3, 3, 7, 6, stride=stride)
+        want = conv2d(x, KernelStack(folded.weights), stride)
+        for bias in (folded.bias, np.ones(folded.in_channels)):
+            kernel = KernelStack(folded.weights, bias)
+            got = grad_weights(x, phi, up, stride, kernel=kernel)
+            np.testing.assert_array_equal(got.input, want)
 
     def test_results_land_in_the_given_arrays(self):
         x, folded, phi, up = self.make_case(2, 2, 3, 3, 7, 6)

@@ -1,11 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wconv.density import (DensityVector, density_from_free,
-                           density_from_record, density_matrix,
-                           density_record, named_density)
+from wconv.density import (MAX_DENSITY_VALUE, DensityVector,
+                           density_from_free, density_from_record,
+                           density_matrix, density_record, named_density)
 
 
 class TestDensityVector:
@@ -24,6 +26,14 @@ class TestDensityVector:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             DensityVector(np.array([-0.1, 1.0, -0.1]))
+
+    def test_value_whose_square_overflows_rejected(self):
+        # The bound's square is finite; the next float's overflows.
+        assert np.all(np.isfinite(density_matrix(
+            density_from_free([MAX_DENSITY_VALUE], 3))))
+        over = float(np.nextafter(MAX_DENSITY_VALUE, np.inf))
+        with pytest.raises(ValueError, match=re.escape(f"density value {over!r} exceeds")):
+            density_from_free([over], 3)
 
 
 class TestFromFree:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import wconv.experiments as experiments
-from wconv.density import DensityVector
+from wconv.density import MAX_DENSITY_VALUE, DensityVector
 from wconv.errors import DivergenceError
 from wconv.experiments import (DatasetSpec, bench_overhead,
                                build_direct_config, compare_densities,
@@ -49,6 +49,12 @@ class TestGenDataset:
                                    for n, c in pairs])
         assert residual.size >= 1_000_000
         assert abs(residual.std() - 0.1) / 0.1 < 0.03
+
+    def test_overflowing_noise_saturates_without_warning(self):
+        # The noise overflows to +-inf, which numpy would warn of (an error
+        # under this suite's warning filter); every noisy pixel clips.
+        for noisy, _ in gen_dataset(replace(TINY_SPEC, noise_sigma=1e308)):
+            assert set(np.unique(noisy)) == {0.0, 1.0}
 
     def test_one_pixel_image_stays_zero_at_any_smoothness(self):
         for smoothness in (4.0, 1e-160):
@@ -106,6 +112,12 @@ class TestOptimizeDensity:
         assert any(t < 0.5 for t in calls)
         assert res.alpha.values[0] >= 0.5
         assert np.isfinite(res.objective)
+
+    def test_alpha_hi_whose_density_overflows_rejected(self):
+        cfg = build_direct_config(3, alpha_lo=0.0, alpha_hi=MAX_DENSITY_VALUE)
+        assert cfg.upper.tolist() == [MAX_DENSITY_VALUE]
+        with pytest.raises(ValueError, match="alpha_hi 1e[+]155 exceeds"):
+            build_direct_config(3, alpha_lo=0.0, alpha_hi=1e155)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):

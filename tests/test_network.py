@@ -3,13 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import fd_gradient, rel_err
+from oracles import fd_gradient, mse_grad, rel_err
 from wconv import conv, network
 from wconv.conv import conv2d_transposed_weighted, conv2d_weighted, scale_kernel
 from wconv.density import density_matrix, named_density
 from wconv.errors import DegenerateBatchError, DivergenceError, ShapeError
 from wconv.network import (BatchNorm2d, DenoiseNet, ModelConfig, kaiming_init,
-                           mse_grad, mse_loss, sgd_train)
+                           mse_loss, sgd_train)
 
 
 class TestKaimingInit:
