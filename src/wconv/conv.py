@@ -11,12 +11,13 @@ it.  The other operators take the density folded into the kernel
 gradient, take the folded kernel, and ``grad_weights`` takes the density and
 returns the gradient of the weights behind the folded kernel.
 
-Every operator is a gather followed by ``np.matmul`` (im2col; Chellapilla,
-Puri & Simard, 2006).  For a chunk of images, the taps of every channel
-are gathered into one (images, channels * taps, pixels) matrix, which is
-contracted against the (filters, channels * taps) kernel matrix.  The
-forward pass and the weight gradient gather the K x K strided windows of
-the input.  The transposed direction (the transposed conv and the input
+Every operator but one lowering of the transposed conv is a gather
+followed by ``np.matmul`` (im2col; Chellapilla, Puri & Simard, 2006).
+For a chunk of images, the taps of every channel are gathered into one
+(images, channels * taps, pixels) matrix, which is contracted against
+the (filters, channels * taps) kernel matrix.  The forward pass and the
+weight gradient gather the K x K strided windows of the input.  The
+transposed direction (the transposed conv and the input
 gradient) is itself a direct convolution: at stride s each of the s x s
 output phases ``out[:, :, pi::s, pj::s]`` is a stride-1 conv of the
 upstream with the taps that reach that phase, channel-swapped (Dumoulin &
@@ -25,6 +26,17 @@ holds as many images as fit ``_COLUMN_BYTES``, so the buffer never grows
 with the batch.  No BLAS product contracts more than ``_GEMM_DEPTH``
 terms, so results do not depend on the BLAS thread count, and none is
 wider than ``_GEMM_WIDTH`` pixels, where threaded OpenBLAS slows down.
+
+A transposed conv with many filters per input channel (``filters >=
+_FILTERS_FIRST_RATIO * in_channels``, 8; a rule on the kernel's shape
+alone) is lowered the other way round: its filters are contracted first,
+``Z = W^T y`` with in_channels * K * K rows per upstream pixel, and each
+tap's plane of Z is then added, shifted, into its output phase.  The
+phase gather would move filters / in_channels times as much data: for 16
+filters to 1 channel, K=5, stride 2, a call takes a third of the gather's
+time.  With fewer filters per channel the K x K shifted additions cost
+more than the gather saves (the measurements are at the constant), so
+such kernels, the desk's 2 -> 1 among them, keep the gather.
 
 A layer's backward pass takes both of its gradients from one gather, and
 the gradient operators return only what that gather makes; the bias
@@ -348,6 +360,59 @@ def _transposed(weights, upstream, rows, cols, stride, out=None, x=None):
     return out, acc
 
 
+# Filters per input channel from which the transposed conv contracts the
+# filters before it shifts (``_filters_first``) instead of gathering every
+# filter's windows (``_transposed``).  Contracting first moves in_channels
+# / filters of the data, but adds K x K shifted planes per chunk one numpy
+# call at a time.  Medians of 60 interleaved calls on a 2-core Xeon, K=5,
+# stride 2, 32 x 32 upstream, filters first against the gather: 16 -> 1
+# channels 0.93 against 2.74 ms for 8 images (x0.34) and 5.0 against 16.3
+# ms for 48; 8 -> 1 x0.52.  At 4 filters per channel two runs read x0.76
+# and x0.82 (4 -> 1) but x0.84 and x1.04 (16 -> 4), no steady gain; below
+# that it is slower: x1.36 at 4 -> 2 and at the desk's 2 -> 1 (20 images
+# of 64 x 64, K=3, stride 1).
+_FILTERS_FIRST_RATIO = 8
+
+
+def _filters_first(weights, upstream, stride, out=None):
+    """The map of ``_transposed`` at ``upsample = stride``, contracted the
+    other way round, a chunk of images at a time: first ``Z = W^T y``,
+    in_channels * K * K values per upstream pixel; then each tap adds its
+    plane of Z, shifted by the tap's offset, into the one output phase
+    that the tap reaches.  The phases are summed in a contiguous buffer
+    and copied into ``out`` once."""
+    bsz, fout, r, c = upstream.shape
+    _, cin, k, _ = weights.shape
+    out = _output(out, (bsz, cin, r * stride, c * stride))
+    chunk = min(_chunk(cin * k * k * r * c), bsz)
+    z = np.empty((chunk, cin, k, k, r, c))
+    phases = np.empty((chunk, cin, stride, stride, r, c))
+    # (phase slice, plane of Z) of every tap that lands inside the upstream.
+    adds = []
+    for pi in range(stride):
+        row_taps = [(a, _tap_range(o, 1, r, r))
+                    for a, o in zip(*_phase_taps(k, stride, pi))]
+        for pj in range(stride):
+            col_taps = [(b, _tap_range(o, 1, c, c))
+                        for b, o in zip(*_phase_taps(k, stride, pj))]
+            adds += [(phases[:, :, pi, pj, rr[0], cr[0]], z[:, :, a, b, rr[1], cr[1]])
+                     for a, rr in row_taps if rr is not None
+                     for b, cr in col_taps if cr is not None]
+    wt = weights.reshape(fout, cin * k * k).T
+    ys = upstream.reshape(bsz, fout, r * c)
+    for s0 in range(0, bsz, chunk):
+        n = min(chunk, bsz - s0)
+        _matmul(wt, ys[s0:s0 + n], z[:n].reshape(n, cin * k * k, r * c))
+        phases.fill(0.0)  # a phase or pixel that no tap reaches stays zero
+        for dst, src in adds:
+            dst = dst[:n]
+            np.add(dst, src[:n], out=dst)
+        for pi in range(stride):
+            for pj in range(stride):
+                out[s0:s0 + n, :, pi::stride, pj::stride] = phases[:n, :, pi, pj]
+    return out
+
+
 def conv2d_transposed_weighted(y, kernel: KernelStack, upsample: int = 1, *,
                                out=None) -> np.ndarray:
     """Adjoint of the stride-``upsample`` convolution with ``kernel``, the
@@ -355,12 +420,17 @@ def conv2d_transposed_weighted(y, kernel: KernelStack, upsample: int = 1, *,
 
     Maps (batch, filters, r, c) to (batch, in_channels, r * upsample,
     c * upsample), written into ``out`` when given; satisfies
-    <conv(x), y> == <x, conv_T(y)> when the bias is absent.
+    <conv(x), y> == <x, conv_T(y)> when the bias is absent.  A kernel with
+    at least ``_FILTERS_FIRST_RATIO`` filters per input channel contracts
+    its filters first (``_filters_first``); any other gathers per phase.
     """
     y = _check_operand(y, kernel.filters, upsample, step_name="upsample factor")
     _check_bias(kernel, kernel.in_channels)
-    out, _ = _transposed(kernel.weights, y, y.shape[2] * upsample,
-                         y.shape[3] * upsample, upsample, out)
+    if kernel.filters >= _FILTERS_FIRST_RATIO * kernel.in_channels:
+        out = _filters_first(kernel.weights, y, upsample, out)
+    else:
+        out, _ = _transposed(kernel.weights, y, y.shape[2] * upsample,
+                             y.shape[3] * upsample, upsample, out)
     if kernel.bias is not None:
         out += kernel.bias[:, None, None]
     return out

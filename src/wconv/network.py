@@ -17,22 +17,27 @@ nothing large after the first: the kept arrays and two working arrays
 per layer output shape, which hold the conv outputs and the backward
 pass's gradients, are carved out of one block when a batch shape first
 appears and reused while it holds.  A loss-only pass (``keep=False``: the
-trainer's initial and final losses, a holdout score) drops that block,
-caches nothing and works in place on fresh arrays, so its memory is a few
-layer outputs rather than every layer's caches for the whole dataset.
+trainer's final loss, a minibatch run's initial loss, a holdout score)
+drops that block, caches nothing and works in place on fresh arrays, so
+its memory is a few layer outputs rather than every layer's caches for
+the whole dataset.  A minibatch run's initial loss is computed only when
+it is read, on a fresh model initialised alike; a full-batch run takes
+it from its first step's forward pass.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .conv import (KernelStack, conv2d, conv2d_transposed_weighted,
                    conv2d_weighted,  # uncalled: the benchmark's tracer wraps it here
-                   grad_input, grad_weights, scale_kernel)
+                   grad_input, grad_weights)
 from .errors import DegenerateBatchError, DivergenceError, ShapeError
 
 
@@ -206,15 +211,17 @@ class _WeightedConv:
         self.kernel = kernel
         self.density = density
         self.stride = stride
-        self.folded = scale_kernel(kernel, density)  # shares kernel.bias
+        self.folded = KernelStack(kernel.weights.copy(), kernel.bias)  # shares the bias
+        self._fold()
         self.grad_w = np.zeros_like(kernel.weights)
         self.grad_b = np.zeros_like(kernel.bias)
         self._x = None
 
     def _fold(self) -> KernelStack:
-        # In place rather than through scale_kernel: weights that overflowed
-        # in the last step must reach sgd_train's divergence check, not
-        # KernelStack's finiteness check.
+        # In place rather than through scale_kernel, here and in __init__: a
+        # fold that overflows, from a huge density or from weights that
+        # overflowed in the last step, must reach sgd_train's divergence
+        # check, not KernelStack's finiteness check.
         np.multiply(self.kernel.weights, self.density, out=self.folded.weights)
         return self.folded
 
@@ -394,13 +401,25 @@ class DenoiseNet:
 
 @dataclass
 class TrainReport:
+    """What a training run reports.  ``initial_loss``, the untrained
+    model's loss on the whole set, is computed once, on first read: a
+    full-batch run takes it from its first step's forward pass, and a
+    minibatch run, which has no such pass, leaves ``_initial`` as the pass
+    that computes it."""
+
     batch_size: int
-    initial_loss: float
     final_loss: float
     epoch_losses: list[float]
     param_count: int
     seconds: float
+    _initial: float | Callable[[], float] = field(repr=False, compare=False)
     model: DenoiseNet | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def initial_loss(self) -> float:
+        if callable(self._initial):
+            self._initial = self._initial()
+        return self._initial
 
 
 def _stack_pairs(dataset):
@@ -413,6 +432,14 @@ def _stack_pairs(dataset):
 # loss checks report the divergence, so numpy's warnings would only repeat
 # it from internal lines.
 @np.errstate(over="ignore", invalid="ignore")
+def _untrained_loss(cfg: ModelConfig, x, t) -> float:
+    """The loss of a model as ``sgd_train`` initialises it, from a loss-only
+    pass; the initialisation is seeded, so these are the bits that a pass
+    before the first step would give."""
+    return mse_loss(DenoiseNet(cfg).forward(x, keep=False), t)
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def sgd_train(dataset, cfg: ModelConfig) -> TrainReport:
     """Train the model on (noisy, clean) pairs; deterministic per seed.
 
@@ -421,7 +448,9 @@ def sgd_train(dataset, cfg: ModelConfig) -> TrainReport:
     a per-seed fixed shuffle.  A non-finite loss aborts with the epoch and
     step in the exception.  Only training steps keep activations; the
     final loss pass keeps none and drops the step buffers, so the
-    report's model holds neither.
+    report's model holds neither.  The initial loss costs no pass of its
+    own at full batch, where the first step's forward pass gives it; a
+    minibatch run computes it only when ``report.initial_loss`` is read.
     """
     if len(dataset) == 0:
         raise ValueError("dataset must be non-empty")
@@ -432,13 +461,12 @@ def sgd_train(dataset, cfg: ModelConfig) -> TrainReport:
     net = DenoiseNet(cfg)
     shuffle_rng = np.random.default_rng([cfg.seed, 7919])
     t0 = time.perf_counter()
-    # A full-batch first step reuses this pass (same input, same weights),
-    # so only then does it keep the caches its backward pass reads.
+    # A full-batch first step's forward pass sees the whole set with the
+    # initial weights, so its loss is the initial loss; a minibatch run
+    # leaves that loss to a pass of its own, run only if it is read.
     full = batch == n
-    pred = net.forward(x, keep=full)
-    initial = mse_loss(pred, t)
-    if not full:
-        pred = None
+    pred = net.forward(x) if full else None
+    initial = mse_loss(pred, t) if full else partial(_untrained_loss, cfg, x, t)
     epoch_losses = []
     diff = None  # pred - target, reused from step to step like the layers' buffers
     for epoch in range(cfg.epochs):
@@ -473,7 +501,7 @@ def sgd_train(dataset, cfg: ModelConfig) -> TrainReport:
     if not np.isfinite(final):
         raise DivergenceError(cfg.epochs, 0)
     return TrainReport(
-        batch_size=batch, initial_loss=initial, final_loss=final,
-        epoch_losses=epoch_losses, param_count=net.param_count,
-        seconds=time.perf_counter() - t0, model=net,
+        batch_size=batch, final_loss=final, epoch_losses=epoch_losses,
+        param_count=net.param_count, seconds=time.perf_counter() - t0,
+        _initial=initial, model=net,
     )

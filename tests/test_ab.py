@@ -74,6 +74,19 @@ def test_tier1_timing_runs_the_command_in_the_tree(tmp_path):
                               "--seeds", "1", "--pairs", "1"]).tier1
 
 
+def test_tier1_timing_keeps_the_failing_test_ids(tmp_path):
+    # pytest's short summary, as -q prints it after a failing run.
+    summary = ("FAILED tests/test_a.py::TestA::test_ratio[3] - assert 1.6 <= 1.5"
+               "\nERROR tests/test_b.py::test_setup - RuntimeError: boom\n"
+               "== 1 failed, 8 passed, 1 error in 0.01s ==\n")
+    script = f"import sys; print({summary!r}, end=''); sys.exit(1)"
+    got = ab.time_tier1(tmp_path, (sys.executable, "-c", script))
+    assert got["result"] == "1 failed, 8 passed, 1 error in 0.01s"
+    assert got["failures"] == ["FAILED tests/test_a.py::TestA::test_ratio[3]",
+                               "ERROR tests/test_b.py::test_setup"]
+    assert got["returncode"] == 1
+
+
 @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
 def test_one_pair_writes_a_bench_file(tmp_path):
     repo = tmp_path / "repo"

@@ -257,6 +257,22 @@ class TestTrain:
         assert "Warning" not in capsys.readouterr().err and caught == []
         assert (out / "train_report.csv").exists()
 
+    # alpha alpha^T is just inside float range, so folding it into a kaiming
+    # weight above 1 in magnitude overflows: at every seed that is the
+    # divergence the loss check reports, whichever layer's fold overflows.
+    @pytest.mark.parametrize("seed", range(4))
+    def test_density_whose_fold_overflows_is_a_divergence(self, tmp_path, capsys,
+                                                          seed):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _ = run(tmp_path, "--seed", str(seed), "train", "--n-images", "2",
+                          "--rows", "8", "--cols", "8", "--epochs", "1",
+                          "--kernel", "3", "--channels", "4", "--alpha", "1.34e154")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "non-finite loss" in err
+        assert "Traceback" not in err and "Warning" not in err and caught == []
+
     def test_report_files_written(self, tmp_path):
         code, out = run(tmp_path, "train", *MICRO_DATA, *MICRO_MODEL)
         assert code == 0

@@ -546,6 +546,94 @@ class TestPhaseGather:
             assert rel_err(analytic[m:m + 1], fd) < 1e-6
 
 
+# (filters, in_channels) of transposed convs with at least
+# ``_FILTERS_FIRST_RATIO`` filters per channel, whose filters are
+# contracted first; upstream sizes odd and non-square, and square.
+FILTERS_FIRST_CHANNELS = [(8, 1), (16, 2)]
+FILTERS_FIRST_HW = [(5, 3), (4, 4)]
+
+
+class TestFiltersFirst:
+    """The transposed conv that contracts its filters before it shifts
+    matches the phase gather, which stays the reference."""
+
+    @staticmethod
+    def make_case(bsz, fout, cin, k, hw, seed):
+        rng = np.random.default_rng(seed)
+        kernel = KernelStack(rng.standard_normal((fout, cin, k, k)))
+        return kernel, rng.standard_normal((bsz, fout) + hw)
+
+    @staticmethod
+    def gathered(kernel, y, stride):
+        rows, cols = y.shape[2] * stride, y.shape[3] * stride
+        return conv._transposed(kernel.weights, y, rows, cols, stride)[0]
+
+    @pytest.mark.parametrize("hw", FILTERS_FIRST_HW)
+    @pytest.mark.parametrize("fout,cin", FILTERS_FIRST_CHANNELS)
+    @pytest.mark.parametrize("stride,k", PHASE_STRIDES_KS + [(1, 1), (3, 1)])
+    def test_matches_the_phase_gather(self, stride, k, fout, cin, hw):
+        kernel, y = self.make_case(2, fout, cin, k, hw, 60)
+        got = conv2d_transposed_weighted(y, kernel, stride)
+        assert rel_err(got, self.gathered(kernel, y, stride)) < 1e-12
+
+    def test_more_filters_than_one_blas_block(self):
+        kernel, y = self.make_case(3, conv._GEMM_DEPTH + 44, 2, 3, (5, 4), 65)
+        got = conv2d_transposed_weighted(y, kernel, 2)
+        assert rel_err(got, self.gathered(kernel, y, 2)) < 1e-12
+
+    @pytest.mark.parametrize("stride,k", PHASE_STRIDES_KS)
+    def test_is_adjoint_of_oracle(self, stride, k):
+        kernel, y = self.make_case(2, 8, 1, k, (5, 3), 61)
+        x = np.random.default_rng(62).standard_normal((2, 1, 5 * stride, 3 * stride))
+        lhs = np.vdot(conv_oracle(x, kernel.weights, None, stride=stride), y)
+        rhs = np.vdot(x, conv2d_transposed_weighted(y, kernel, stride))
+        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+
+    # 16 images of 15 x 13 upstream, 16 filters for 2 channels at K = 7:
+    # 6 images of Z per chunk, so chunks of 6, 6 and 4.
+    BATCH, FOUT, CIN, K, STRIDE, HW = 16, 16, 2, 7, 2, (15, 13)
+
+    def test_batch_spans_three_chunks(self):
+        chunk = conv._chunk(self.CIN * self.K * self.K * self.HW[0] * self.HW[1])
+        assert self.BATCH > 2 * chunk and self.BATCH % chunk != 0
+
+    def test_chunked_batch_and_given_arrays(self):
+        kernel, y = self.make_case(self.BATCH, self.FOUT, self.CIN, self.K,
+                                   self.HW, 63)
+        kernel = KernelStack(kernel.weights, np.arange(1.0, self.CIN + 1))
+        want = self.gathered(kernel, y, self.STRIDE) + kernel.bias[:, None, None]
+        assert rel_err(conv2d_transposed_weighted(y, kernel, self.STRIDE),
+                       want) < 1e-12
+        shape = want.shape
+        contiguous = np.full(shape, np.nan)
+        # Every other column of a wider array, one channel short of it.
+        wider = np.full(shape[:1] + (shape[1] + 1, shape[2], 2 * shape[3]), np.nan)
+        strided = wider[:, :self.CIN, :, ::2]
+        for out in (contiguous, strided):
+            assert conv2d_transposed_weighted(y, kernel, self.STRIDE, out=out) is out
+            assert rel_err(out, want) < 1e-12
+        assert np.isnan(wider[:, self.CIN]).all() and np.isnan(wider[..., 1::2]).all()
+
+    @pytest.mark.parametrize("fout,cin", [(1, 1), (7, 1), (8, 1), (16, 1),
+                                          (15, 2), (16, 2), (16, 4), (32, 4)])
+    def test_lowering_depends_only_on_the_channel_counts(self, fout, cin,
+                                                         monkeypatch):
+        lowered = []
+        for name in ("_filters_first", "_transposed"):
+            real = getattr(conv, name)
+
+            def recorded(*args, _name=name, _real=real, **kwargs):
+                lowered.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(conv, name, recorded)
+        for stride, k, hw in [(1, 3, (4, 4)), (2, 5, (5, 3)), (3, 1, (2, 3))]:
+            kernel, y = self.make_case(2, fout, cin, k, hw, 64)
+            conv2d_transposed_weighted(y, kernel, stride)
+        picked = "_filters_first" if fout >= 8 * cin else "_transposed"
+        assert lowered == [picked] * 3
+
+
 class TestFusedGathers:
     """A layer's backward pass gathers the upstream's windows once and
     takes both gradients from them."""

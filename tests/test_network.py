@@ -298,11 +298,12 @@ def reference_losses(dataset, cfg):
 
 
 class TestForwardPasses:
-    """A full-batch step reuses the initial pass; a minibatch run keeps it.
-    Recorded losses: 6 images of 12 x 12, c=2, K=3, stride 2, gaussian
-    density, 3 epochs, lr 0.05, seed 1, from the trainer that ran
-    ``epochs + 2`` passes.  The transposed conv's phase gather has since
-    reordered its sums, which moved them by at most 2 ulp (3.4e-16)."""
+    """A full-batch step reuses the initial pass; a minibatch run makes its
+    initial pass only when ``initial_loss`` is read.  Recorded losses: 6
+    images of 12 x 12, c=2, K=3, stride 2, gaussian density, 3 epochs, lr
+    0.05, seed 1, from the trainer that ran ``epochs + 2`` passes.  The
+    transposed conv's phase gather has since reordered its sums, which
+    moved them by at most 2 ulp (3.4e-16)."""
 
     RECORDED = {
         None: (0.3910250990960153,
@@ -316,10 +317,10 @@ class TestForwardPasses:
     # Only a pass that a backward pass reads keeps caches: the initial pass
     # when the first full-batch step reuses it, every step, never the final.
     KEEPS = {None: [True] * 3 + [False],
-             4: [False] + [True] * 3 * 2 + [False]}
+             4: [True] * 3 * 2 + [False]}
 
     @pytest.mark.parametrize("batch_size,passes", [(None, 3 + 1),
-                                                   (4, 3 * 2 + 2)])
+                                                   (4, 3 * 2 + 1)])
     def test_forward_passes_and_losses(self, batch_size, passes, monkeypatch):
         data = tiny_dataset(n=6, size=12, seed=3)
         cfg = ModelConfig(channels=2, kernel=3, stride=2, epochs=3,
@@ -344,6 +345,38 @@ class TestForwardPasses:
         np.testing.assert_allclose(report.initial_loss, initial, rtol=1e-12)
         np.testing.assert_allclose(report.epoch_losses, epochs, rtol=1e-12)
         np.testing.assert_allclose(report.final_loss, final, rtol=1e-12)
+
+
+class TestLazyInitialLoss:
+    """The initial loss is computed once, when first read: from the first
+    step's forward pass at full batch, and by a pass of its own otherwise."""
+
+    @pytest.mark.parametrize("batch_size,pass_on_read", [(None, 0), (4, 1)])
+    def test_passes_before_and_after_the_first_read(self, batch_size,
+                                                    pass_on_read, monkeypatch):
+        data = tiny_dataset(n=6, size=12, seed=3)
+        cfg = ModelConfig(channels=2, kernel=3, stride=2, epochs=2, seed=4,
+                          batch_size=batch_size,
+                          density=density_matrix(named_density("gaussian", 3)))
+        x = np.stack([p[0] for p in data])[:, None]
+        t = np.stack([p[1] for p in data])[:, None]
+        eager = mse_loss(DenoiseNet(cfg).forward(x, keep=False), t)
+        kept = []
+        forward = DenoiseNet.forward
+
+        def counted(net, x, **kwargs):
+            kept.append(kwargs.get("keep", True))
+            return forward(net, x, **kwargs)
+
+        monkeypatch.setattr(DenoiseNet, "forward", counted)
+        report = sgd_train(data, cfg)
+        steps = -(-len(data) // (batch_size or len(data)))
+        trained = cfg.epochs * steps + 1
+        assert len(kept) == trained
+        assert report.initial_loss == eager
+        assert kept[trained:] == [False] * pass_on_read
+        assert report.initial_loss == eager
+        assert len(kept) == trained + pass_on_read
 
 
 def gaussian_net(channels=3, stride=2, seed=4):

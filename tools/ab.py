@@ -18,7 +18,8 @@ the change's median over the base's, the pairs the change won, and the
 environment ``run.py`` recorded.  It refuses to write the file if any
 environment field is null or the two sides' environments differ.  With
 ``--tier1`` it also times one run of the tier-1 test suite per side, base
-first, after the workloads, and records its wall time and result line.
+first, after the workloads, and records its wall time, its result line
+and the ids of the tests that failed or errored.
 The worktree is removed when the script ends.
 """
 
@@ -163,8 +164,10 @@ def measure(base_tree: Path, plan: dict[str, int], seeds: list[int],
 
 
 def time_tier1(tree: Path, command=TIER1) -> dict:
-    """Wall time, exit code and pytest's closing result line of one run of
-    ``command`` in ``tree`` with the tree's ``src/`` on the import path."""
+    """Wall time, exit code, pytest's closing result line and the ids its
+    short summary lists as ``FAILED`` or ``ERROR`` (each with that word),
+    of one run of ``command`` in ``tree`` with the tree's ``src/`` on the
+    import path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
     start = time.perf_counter()
@@ -173,8 +176,9 @@ def time_tier1(tree: Path, command=TIER1) -> dict:
     seconds = time.perf_counter() - start
     results = [line.strip("= ") for line in proc.stdout.splitlines()
                if re.search(r"\d+ (passed|failed|error)", line)]
+    failures = re.findall(r"^(?:FAILED|ERROR) \S+", proc.stdout, re.MULTILINE)
     return {"seconds": round(seconds, 2), "returncode": proc.returncode,
-            "result": results[-1] if results else None}
+            "result": results[-1] if results else None, "failures": failures}
 
 
 def parse_args(argv=None):
@@ -249,6 +253,8 @@ def main(argv=None) -> int:
     if tier1 is not None:
         for side, run in tier1.items():
             print(f"tier-1 {side:<6} {run['seconds']} s  {run['result']}")
+            for failure in run["failures"]:
+                print(f"  {failure}")
     print(f"wrote {out}")
     return 0
 
