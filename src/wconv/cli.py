@@ -25,10 +25,10 @@ from .density import (density_from_free, density_from_record,
                       density_matrix, density_record, named_density, FAMILIES)
 from .errors import (DegenerateBatchError, DivergenceError, FormatError,
                      SearchDivergedError)
-from .experiments import (SWEEP_AXES, DatasetSpec, OuterResult,
+from .experiments import (SWEEP_AXES, DatasetSpec, OuterResult, alpha_columns,
                           bench_overhead, build_direct_config,
                           compare_densities, gen_dataset, optimize_density,
-                          split_dataset, sweep_hyperparams)
+                          sweep_hyperparams)
 from .network import ModelConfig, sgd_train
 from .spectral import run_verification
 from .tensors import tensor_read, tensor_write
@@ -68,57 +68,52 @@ def _fmt(value) -> str:
     return "" if value is None else str(value)
 
 
-def write_csv(path: str, rows: list[dict], fieldnames: list[str]) -> None:
+def write_csv(path: str, rows: list[dict]) -> None:
+    """``rows`` under a header of the first row's keys, which every row has."""
+    fields = list(rows[0])
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(fieldnames)
+    writer.writerow(fields)
     for row in rows:
-        writer.writerow([_fmt(row.get(name)) for name in fieldnames])
+        writer.writerow([_fmt(row[name]) for name in fields])
     _atomic_write(path, buf.getvalue())
 
 
-def emit_report(result: OuterResult, fmt: str, path: str) -> None:
-    """Serialize an outer optimization result as one CSV row or as text."""
-    n_free = result.alpha.free_count
-    if fmt == "csv":
-        fields = [f"alpha_{i}" for i in range(1, n_free + 1)]
-        row = {f"alpha_{i}": float(result.alpha.values[i - 1])
-               for i in range(1, n_free + 1)}
-        row.update(objective=result.objective, baseline=result.baseline,
-                   improvement=result.improvement, evals=result.evals,
-                   iterations=result.iterations,
-                   bounds_lo=result.bounds[0], bounds_hi=result.bounds[1])
-        write_csv(path, [row], fields + ["objective", "baseline", "improvement",
-                                         "evals", "iterations",
-                                         "bounds_lo", "bounds_hi"])
-    elif fmt == "text":
-        lines = [
-            f"kernel: {result.alpha.k}",
-            "alpha: " + " ".join(repr(float(v)) for v in result.alpha.values),
-            f"objective: {result.objective!r}",
-            f"uniform baseline: {result.baseline!r}",
-            f"improvement: loss reduced by {100.0 * result.improvement:.1f}% "
-            "relative to the uniform density",
-            f"evaluations: {result.evals}",
-            f"iterations: {result.iterations}",
-            f"bounds: [{result.bounds[0]!r}, {result.bounds[1]!r}]",
-        ]
-        _atomic_write(path, "\n".join(lines) + "\n")
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
+def write_outer_result(path: str, result: OuterResult) -> None:
+    """A search's result as the one row of ``outer_result.csv``."""
+    write_csv(path, [{
+        **alpha_columns(result.alpha.values[:result.alpha.free_count]),
+        "objective": result.objective, "baseline": result.baseline,
+        "improvement": result.improvement, "evals": result.evals,
+        "iterations": result.iterations,
+        "bounds_lo": result.bounds[0], "bounds_hi": result.bounds[1]}])
+
+
+def write_summary(path: str, result: OuterResult) -> None:
+    """A search's result as the text of ``summary.txt``."""
+    lines = [
+        f"kernel: {result.alpha.k}",
+        "alpha: " + " ".join(repr(float(v)) for v in result.alpha.values),
+        f"objective: {result.objective!r}",
+        f"uniform baseline: {result.baseline!r}",
+        f"improvement: loss reduced by {100.0 * result.improvement:.1f}% "
+        "relative to the uniform density",
+        f"evaluations: {result.evals}",
+        f"iterations: {result.iterations}",
+        f"bounds: [{result.bounds[0]!r}, {result.bounds[1]!r}]",
+    ]
+    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def _write_trace(path: str, trace) -> None:
-    rows = []
-    for row in trace:
-        rec = {"iter": row.iteration, "evals": row.evals,
-               "best_value": row.best_value}
-        for i, c in enumerate(row.best_point, 1):
-            rec[f"alpha_{i}"] = float(c)
-        rows.append(rec)
-    n = len(trace[0].best_point) if trace else 0
-    write_csv(path, rows, ["iter", "evals", "best_value"]
-              + [f"alpha_{i}" for i in range(1, n + 1)])
+    write_csv(path, [{"iter": row.iteration, "evals": row.evals,
+                      "best_value": row.best_value,
+                      **alpha_columns(row.best_point)} for row in trace])
+
+
+def _write_density(out_dir: str, result: OuterResult) -> None:
+    _atomic_write(os.path.join(out_dir, "optimal_density.json"),
+                  json.dumps(density_record(result.alpha), sort_keys=True) + "\n")
 
 
 def _int_list(text: str) -> list[int]:
@@ -240,12 +235,8 @@ def _model_cfg(args, config, seed) -> ModelConfig:
     return ModelConfig(seed=seed, **_settings(args, config, "model"))
 
 
-def _search(direct_cfg, cfg, dataset, out_dir) -> OuterResult:
-    """The nested density search on ``dataset``; writes optimal_density.json."""
-    result = optimize_density(cfg, direct_cfg, dataset)
-    _atomic_write(os.path.join(out_dir, "optimal_density.json"),
-                  json.dumps(density_record(result.alpha), sort_keys=True) + "\n")
-    return result
+def _direct_cfg(args, config, cfg: ModelConfig):
+    return build_direct_config(cfg.kernel, **_settings(args, config, "direct"))
 
 
 def _resolve_density(args, config, kernel):
@@ -328,11 +319,10 @@ def _cmd_train(args, config, seed, out_dir) -> int:
     row = {"seed": cfg.seed, "kernel": cfg.kernel, "alpha": alpha,
            "epochs": cfg.epochs, "lr": cfg.learning_rate, "stride": cfg.stride,
            "channels": cfg.channels, "final_loss": report.final_loss}
-    write_csv(os.path.join(out_dir, "train_report.csv"), [row], list(row))
+    write_csv(os.path.join(out_dir, "train_report.csv"), [row])
     write_csv(os.path.join(out_dir, "losses.csv"),
               [{"epoch": i + 1, "loss": loss}
-               for i, loss in enumerate(report.epoch_losses)],
-              ["epoch", "loss"])
+               for i, loss in enumerate(report.epoch_losses)])
     print(f"final loss {report.final_loss:.6g} "
           f"({report.param_count} parameters, {report.seconds:.2f}s)")
     return 0
@@ -340,12 +330,13 @@ def _cmd_train(args, config, seed, out_dir) -> int:
 
 def _cmd_optimize(args, config, seed, out_dir) -> int:
     cfg = _model_cfg(args, config, seed)
-    direct_cfg = build_direct_config(cfg.kernel, **_settings(args, config, "direct"))
-    result = _search(direct_cfg, cfg,
-                     gen_dataset(_dataset_spec(args, config, seed)), out_dir)
-    emit_report(result, "csv", os.path.join(out_dir, "outer_result.csv"))
+    direct_cfg = _direct_cfg(args, config, cfg)
+    result = optimize_density(cfg, direct_cfg,
+                              gen_dataset(_dataset_spec(args, config, seed)))
+    _write_density(out_dir, result)
+    write_outer_result(os.path.join(out_dir, "outer_result.csv"), result)
     if args.format == "text":
-        emit_report(result, "text", os.path.join(out_dir, "summary.txt"))
+        write_summary(os.path.join(out_dir, "summary.txt"), result)
     _write_trace(os.path.join(out_dir, "trace.csv"), result.trace)
     print("alpha: " + " ".join(f"{v:.4f}" for v in result.alpha.values)
           + f"  improvement: {100.0 * result.improvement:.1f}%"
@@ -355,15 +346,12 @@ def _cmd_optimize(args, config, seed, out_dir) -> int:
 
 def _cmd_sweep(args, config, seed, out_dir) -> int:
     cfg = _model_cfg(args, config, seed)
+    direct_cfg = _direct_cfg(args, config, cfg)
     spec = _dataset_spec(args, config, seed)
     if args.axis == "stride":
         print("note: image size is held fixed while the stride varies")
-    rows = sweep_hyperparams(args.axis, args.values, spec, cfg,
-                             direct_opts=_settings(args, config, "direct"))
-    n_free = (cfg.kernel - 1) // 2
-    fields = (["axis", "axis_value"] + [f"alpha_{i}" for i in range(1, n_free + 1)]
-              + ["objective", "baseline", "improvement", "error"])
-    write_csv(os.path.join(out_dir, f"sweep_{args.axis}.csv"), rows, fields)
+    rows = sweep_hyperparams(args.axis, args.values, spec, cfg, direct_cfg)
+    write_csv(os.path.join(out_dir, f"sweep_{args.axis}.csv"), rows)
     for row in rows:
         alpha_1 = row.get("alpha_1")
         status = row["error"] or (f"alpha_1={alpha_1:.4f}" if alpha_1 is not None else "")
@@ -377,15 +365,12 @@ def _cmd_compare(args, config, seed, out_dir) -> int:
     if not families or not set(families) <= set(COMPARE_FAMILIES):
         raise ValueError(f"--families {args.families!r} must name one or more of "
                          f"{', '.join(COMPARE_FAMILIES)}")
-    direct_cfg = build_direct_config(cfg.kernel, **_settings(args, config, "direct"))
-    dataset = gen_dataset(_dataset_spec(args, config, seed))
-    optimal = None
-    if "optimal" in families:
-        train_split, _ = split_dataset(dataset, cfg.seed)
-        optimal = _search(direct_cfg, cfg, train_split, out_dir).alpha
-    rows = compare_densities(families, cfg, dataset, optimal=optimal)
-    write_csv(os.path.join(out_dir, "compare.csv"), rows,
-              ["family", "alpha", "final_loss", "holdout_mse"])
+    direct_cfg = _direct_cfg(args, config, cfg)
+    rows, search = compare_densities(
+        families, cfg, gen_dataset(_dataset_spec(args, config, seed)), direct_cfg)
+    if search is not None:
+        _write_density(out_dir, search)
+    write_csv(os.path.join(out_dir, "compare.csv"), rows)
     for row in rows:
         print(f"{row['family']:<10} final_loss={row['final_loss']:.6g} "
               f"holdout_mse={row['holdout_mse']:.6g}")
@@ -393,13 +378,15 @@ def _cmd_compare(args, config, seed, out_dir) -> int:
 
 
 def _cmd_bench(args, config, seed, out_dir) -> int:
+    for flag, values in (("--kernels", args.kernels),
+                         ("--out-channels", args.out_channels)):
+        if not values:
+            raise ValueError(f"{flag} needs at least one value")
     if len(args.image_shape) != 4:
         raise ValueError("--image-shape needs 4 comma-separated extents")
     rows = bench_overhead(args.kernels, args.out_channels,
                           tuple(args.image_shape), args.repeats, seed=seed)
-    write_csv(os.path.join(out_dir, "bench.csv"), rows,
-              ["kernel", "out_channels", "standard_ms", "weighted_ms", "ratio",
-               "premultiplied_ms", "premultiplied_ratio"])
+    write_csv(os.path.join(out_dir, "bench.csv"), rows)
     for row in rows:
         print(f"K={row['kernel']} F={row['out_channels']}: "
               f"standard {row['standard_ms']:.2f}ms, weighted {row['weighted_ms']:.2f}ms, "
@@ -418,8 +405,7 @@ def _cmd_verify(args, config, seed, out_dir) -> int:
         rows.append({"property": rep.name, "instances": rep.instances,
                      "max_error": rep.max_error, "tolerance": rep.tolerance,
                      "result": verdict})
-    write_csv(os.path.join(out_dir, "verify.csv"), rows,
-              ["property", "instances", "max_error", "tolerance", "result"])
+    write_csv(os.path.join(out_dir, "verify.csv"), rows)
     return 0 if all(rep.passed for rep in reports) else 1
 
 

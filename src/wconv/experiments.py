@@ -4,7 +4,12 @@ the convolution overhead benchmark.
 
 The outer objective is the final training loss of the model for a given
 density, trained with a pinned weight-init seed so every evaluation is a
-deterministic function of the density coefficients alone.
+deterministic function of the density coefficients alone.  Every search
+decision has one owner here: the searches take the DIRECT box as a
+``DirectConfig``, ``_training_objective`` is the one objective (and stops
+a search whose uniform baseline diverged), ``compare_densities`` draws the
+one holdout split and searches the optimal density on the rest, and
+``alpha_columns`` names the coefficient columns of every record.
 """
 
 from __future__ import annotations
@@ -140,17 +145,28 @@ def build_direct_config(k: int, max_evals: int = 60, max_iters: int = 40,
 def _training_objective(dataset, model_cfg: ModelConfig):
     """Final training loss as a function of the free density coefficients
     ``theta`` of a ``model_cfg.kernel``-tap density; NaN on divergence,
-    which includes a run whose final loss is not below its initial loss."""
+    which includes a run whose final loss is not below its initial loss.
+
+    The first evaluation is the search's uniform baseline: if it diverges,
+    no later evaluation could report an improvement, so it raises
+    ``SearchDivergedError`` instead.
+    """
+    first = True
+
     def objective(theta) -> float:
+        nonlocal first
         phi = density_matrix(density_from_free(theta, model_cfg.kernel))
-        cfg = replace(model_cfg, density=phi)
         try:
-            report = sgd_train(dataset, cfg)
+            report = sgd_train(dataset, replace(model_cfg, density=phi))
+            value = (report.final_loss if report.final_loss < report.initial_loss
+                     else float("nan"))
         except DivergenceError:
-            return float("nan")
-        if report.final_loss >= report.initial_loss:
-            return float("nan")
-        return report.final_loss
+            value = float("nan")
+        if first and not np.isfinite(value):
+            raise SearchDivergedError("the uniform baseline's training run "
+                                      "diverged: there is no improvement to report")
+        first = False
+        return value
     return objective
 
 
@@ -178,21 +194,8 @@ def optimize_density(model_cfg: ModelConfig, direct_cfg: DirectConfig,
             f"direct config has {direct_cfg.lower.shape[0]} dims, "
             f"kernel {k} needs {n_free}"
         )
-    train = _training_objective(dataset, model_cfg)
-    first = True
-
-    def objective(theta) -> float:
-        # minimize evaluates the uniform init first; if that diverged, no
-        # later evaluation could report an improvement, so stop there.
-        nonlocal first
-        value = train(theta)
-        if first and not np.isfinite(value):
-            raise SearchDivergedError("the uniform baseline's training run "
-                                      "diverged: there is no improvement to report")
-        first = False
-        return value
-
-    res = minimize(objective, direct_cfg, init=np.ones(n_free))
+    res = minimize(_training_objective(dataset, model_cfg), direct_cfg,
+                   init=np.ones(n_free))
     baseline = res.evals[0][1]
     improvement = 1.0 - res.best_value / baseline if baseline > 0 else float("nan")
     return OuterResult(
@@ -203,36 +206,42 @@ def optimize_density(model_cfg: ModelConfig, direct_cfg: DirectConfig,
     )
 
 
+def alpha_columns(point) -> dict:
+    """The ``alpha_1``..``alpha_n`` columns of a point of ``n`` free density
+    coefficients, outermost first, as floats; a ``None`` coefficient (of a
+    run that found no point) stays ``None``, an empty cell."""
+    return {f"alpha_{i}": None if c is None else float(c)
+            for i, c in enumerate(point, 1)}
+
+
 SWEEP_AXES = ("stride", "epochs", "n_images", "image_size", "channels")
 
 
-def _outer_row(axis: str, value, result: OuterResult | None, error: str = ""):
-    row = {"axis": axis, "axis_value": value}
-    if result is not None:
-        for i, a in enumerate(result.alpha.values[: result.alpha.free_count], 1):
-            row[f"alpha_{i}"] = float(a)
-        row["objective"] = result.objective
-        row["baseline"] = result.baseline
-        row["improvement"] = result.improvement
-    row["error"] = error
-    return row
+def _outer_row(axis: str, value, n_free: int, result: OuterResult | None,
+               error: str = "") -> dict:
+    """One sweep row; a run that failed has every column, left empty."""
+    point = result.alpha.values[:n_free] if result is not None else [None] * n_free
+    return {"axis": axis, "axis_value": value, **alpha_columns(point),
+            **{key: getattr(result, key, None)
+               for key in ("objective", "baseline", "improvement")},
+            "error": error}
 
 
 def sweep_hyperparams(axis: str, values, dataset_spec: DatasetSpec,
-                      model_cfg: ModelConfig,
-                      direct_opts: dict | None = None) -> list[dict]:
-    """One nested optimization per axis value, everything else held fixed.
+                      model_cfg: ModelConfig, direct_cfg: DirectConfig) -> list[dict]:
+    """One nested optimization in ``direct_cfg``'s box per axis value,
+    everything else held fixed.
 
     Image size stays fixed on the stride axis.  A run that diverges or
-    rejects its input becomes a row with its error message and the sweep
-    continues; any other exception is a bug and propagates.  Rows come
-    back sorted by axis value.
+    rejects its input becomes a row with its error message, and every other
+    column empty, and the sweep continues; any other exception is a bug and
+    propagates.  Rows come back sorted by axis value.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}, expected one of {SWEEP_AXES}")
     if len(values) == 0:
         raise ValueError("sweep needs at least one value")
-    direct_cfg = build_direct_config(model_cfg.kernel, **(direct_opts or {}))
+    n_free = (model_cfg.kernel - 1) // 2
     rows = []
     for value in sorted(values):
         try:
@@ -248,9 +257,9 @@ def sweep_hyperparams(axis: str, values, dataset_spec: DatasetSpec,
             else:
                 ds = replace(ds, rows=int(value), cols=int(value))
             result = optimize_density(mc, direct_cfg, gen_dataset(ds))
-            rows.append(_outer_row(axis, value, result))
+            rows.append(_outer_row(axis, value, n_free, result))
         except (DivergenceError, SearchDivergedError, ValueError) as exc:
-            rows.append(_outer_row(axis, value, None, error=str(exc)))
+            rows.append(_outer_row(axis, value, n_free, None, error=str(exc)))
     return rows
 
 
@@ -271,25 +280,29 @@ def split_dataset(dataset, seed: int):
 
 
 def compare_densities(families, model_cfg: ModelConfig, dataset,
-                      optimal: DensityVector | None = None) -> list[dict]:
+                      direct_cfg: DirectConfig
+                      ) -> tuple[list[dict], OuterResult | None]:
     """Train the model once per density family under identical seeds.
 
     ``families`` draws from the named families, at ``model_cfg.kernel``
-    taps, plus "optimal", which requires the vector from a prior density
-    optimization.  Reports the final training loss and the mean squared
-    error on the held-out ``HOLDOUT_FRACTION`` of the images.
+    taps, plus "optimal".  The dataset is split once (``split_dataset``
+    at ``model_cfg.seed``): every family trains on the training split, and
+    "optimal" is the density that ``optimize_density`` finds in
+    ``direct_cfg``'s box on that same split, searched before any family
+    trains.  Returns the rows, each with the final training loss and the
+    mean squared error on the held-out images, and the search's
+    ``OuterResult`` (``None`` when "optimal" is not asked for).
     """
+    vectors = {family: named_density(family, model_cfg.kernel)
+               for family in families if family != "optimal"}
     train, hold = split_dataset(dataset, model_cfg.seed)
+    search = (optimize_density(model_cfg, direct_cfg, train)
+              if "optimal" in families else None)
     hx = np.stack([p[0] for p in hold])[:, None, :, :]
     ht = np.stack([p[1] for p in hold])[:, None, :, :]
     rows = []
     for family in families:
-        if family == "optimal":
-            if optimal is None:
-                raise ValueError("'optimal' family requires the optimized vector")
-            vec = optimal
-        else:
-            vec = named_density(family, model_cfg.kernel)
+        vec = search.alpha if family == "optimal" else vectors[family]
         cfg = replace(model_cfg, density=density_matrix(vec))
         report = sgd_train(train, cfg)
         holdout = mse_loss(report.model.forward(hx, keep=False), ht)
@@ -299,7 +312,7 @@ def compare_densities(families, model_cfg: ModelConfig, dataset,
             "final_loss": report.final_loss,
             "holdout_mse": holdout,
         })
-    return rows
+    return rows, search
 
 
 def _interleaved_medians_ms(fns, repeats: int) -> list[float]:

@@ -99,6 +99,22 @@ def test_one_pair_writes_a_bench_file(tmp_path):
     subprocess.run(["git", "init", "-q", str(repo)], check=True)
     subprocess.run([*git, "add", "-A"], check=True)
     subprocess.run([*git, "commit", "-q", "-m", "base"], check=True)
+    # The change side is the working tree as git sees it: an uncommitted
+    # edit and an untracked file, but no benchmark output.
+    init = repo / "src" / "wconv" / "__init__.py"
+    init.write_text(init.read_text() + "EDITED = True\n")
+    (repo / "notes.txt").write_text("untracked\n")
+    (repo / ".perfbench_out").mkdir()
+    (repo / ".perfbench_out" / "old.json").write_text("{}\n")
+    change = tmp_path / "change"
+    ab.export_working_tree(repo, change)
+    assert "EDITED = True" in (change / "src" / "wconv" / "__init__.py").read_text()
+    assert (change / "notes.txt").read_text() == "untracked\n"
+    assert not (change / ".perfbench_out").exists()
+    base = tmp_path / "base"
+    ab.export_revision(repo, "HEAD", base)
+    assert "EDITED" not in (base / "src" / "wconv" / "__init__.py").read_text()
+    assert not (base / "notes.txt").exists()
 
     proc = subprocess.run(
         [sys.executable, str(repo / "tools" / "ab.py"), "--base", "HEAD",
@@ -116,7 +132,8 @@ def test_one_pair_writes_a_bench_file(tmp_path):
     assert verify["failed"] == {"base": 0, "change": 0}
     assert min(verify["attempted"].values()) >= 1
     assert list(verify["metrics"]) == names
-    # The base worktree is gone.
+    # Neither side ran in the repository itself, and no worktree was added.
+    assert [p.name for p in (repo / ".perfbench_out").iterdir()] == ["old.json"]
     listed = subprocess.run([*git, "worktree", "list"], check=True,
                             capture_output=True, text=True).stdout
     assert len(listed.splitlines()) == 1

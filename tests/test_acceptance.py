@@ -18,7 +18,7 @@ from wconv.density import density_matrix, named_density
 from wconv.directl import DirectConfig, minimize
 from wconv.experiments import (DatasetSpec, bench_overhead,
                                build_direct_config, compare_densities,
-                               gen_dataset, optimize_density, split_dataset,
+                               gen_dataset, optimize_density,
                                sweep_hyperparams)
 from wconv.network import DenoiseNet, ModelConfig, mse_loss
 from wconv.spectral import run_verification
@@ -202,13 +202,9 @@ def test_criterion_06_desk_scale_density_optimization():
 def test_criterion_07_density_family_comparison():
     t0 = time.perf_counter()
     dataset = gen_dataset(DESK_SPEC)
-    train, _ = split_dataset(dataset, DESK_MODEL.seed)
-    outer = optimize_density(DESK_MODEL,
-                             build_direct_config(3, max_evals=50, max_iters=30),
-                             train)
-    rows = compare_densities(["uniform", "linear", "gaussian", "cubic",
-                              "optimal"], DESK_MODEL, dataset,
-                             optimal=outer.alpha)
+    rows, _ = compare_densities(["uniform", "linear", "gaussian", "cubic",
+                                 "optimal"], DESK_MODEL, dataset,
+                                build_direct_config(3, max_evals=50, max_iters=30))
     losses = {r["family"]: r["final_loss"] for r in rows}
     optimal = losses.pop("optimal")
     ok = all(optimal < v for v in losses.values())
@@ -233,7 +229,7 @@ def test_criterion_08_overhead_benchmark():
 def test_criterion_09_epochs_sweep_trend():
     t0 = time.perf_counter()
     rows = sweep_hyperparams("epochs", [1, 5, 20], DESK_SPEC, DESK_MODEL,
-                             direct_opts=dict(max_evals=50, max_iters=30))
+                             build_direct_config(3, max_evals=50, max_iters=30))
     alphas = [r["alpha_1"] for r in rows]
     ok = (all(r["error"] == "" for r in rows)
           and all(a >= b for a, b in zip(alphas, alphas[1:])))

@@ -11,8 +11,8 @@ import pytest
 import wconv
 import wconv.cli as cli
 import wconv.experiments as experiments
-from wconv.cli import dispatch, emit_report
-from wconv.density import DensityVector
+from wconv.cli import dispatch, write_outer_result, write_summary
+from wconv.density import DensityVector, density_matrix, named_density
 from wconv.errors import DivergenceError
 from wconv.experiments import OuterResult
 from wconv.spectral import PropertyCheck
@@ -511,6 +511,31 @@ class TestCompare:
                                                "cubic", "optimal"]
         assert (out / "optimal_density.json").exists()
 
+    def test_no_search_no_density_record(self, tmp_path):
+        code, out = run(tmp_path, "compare-densities", *MICRO_DATA,
+                        *MICRO_MODEL, *MICRO_DIRECT, "--families", "uniform,cubic")
+        assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == ["compare.csv"]
+
+    def test_failed_family_leaves_no_partial_record(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # The optimal search succeeds; a family trained after it diverges.
+        real_train = experiments.sgd_train
+        linear = density_matrix(named_density("linear", 3))
+
+        def linear_diverges(dataset, cfg):
+            if np.array_equal(cfg.density, linear):
+                raise DivergenceError(0, 0)
+            return real_train(dataset, cfg)
+
+        monkeypatch.setattr(experiments, "sgd_train", linear_diverges)
+        code, out = run(tmp_path, "compare-densities", *MICRO_DATA,
+                        *MICRO_MODEL, *MICRO_DIRECT, "--families",
+                        "optimal,uniform,linear")
+        assert code == 1
+        assert "usage:" not in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("families", ["uniform,bogus,optimal", ",", ""])
     def test_bad_families_rejected_before_any_training(self, tmp_path, capsys,
                                                        monkeypatch, families):
@@ -541,6 +566,21 @@ class TestBench:
                         *flags)
         assert code == 2
         assert "usage:" in capsys.readouterr().err
+        assert not (out / "bench.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--kernels", "--out-channels"])
+    def test_empty_list_is_a_usage_error(self, tmp_path, capsys, monkeypatch,
+                                         flag):
+        # A bench that times nothing would write a header-only bench.csv.
+        timed = []
+        monkeypatch.setattr(cli, "bench_overhead",
+                            lambda *args, **kwargs: timed.append(args) or [])
+        code, out = run(tmp_path, "bench", "--image-shape", "1,1,8,8",
+                        "--repeats", "10", flag, "")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert flag in err and "usage:" in err
+        assert timed == []
         assert not (out / "bench.csv").exists()
 
 
@@ -621,10 +661,14 @@ class TestConfigFile:
         flag, config_value, flag_value = self.SETTING_VALUES[key]
         seen = {}
 
-        def fake_sweep(axis, values, spec, cfg, direct_opts):
-            seen.update(dataset=vars(spec), model=vars(cfg), direct=direct_opts)
-            return []
+        def fake_direct(k, **opts):
+            seen.update(direct=opts)
 
+        def fake_sweep(axis, values, spec, cfg, direct_cfg):
+            seen.update(dataset=vars(spec), model=vars(cfg))
+            return [{"axis": axis, "axis_value": values[0], "error": ""}]
+
+        monkeypatch.setattr(cli, "build_direct_config", fake_direct)
         monkeypatch.setattr(cli, "sweep_hyperparams", fake_sweep)
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({section: {key: config_value}}))
@@ -702,7 +746,7 @@ class TestEmitReport:
 
     def test_csv_schema(self, tmp_path):
         path = tmp_path / "r.csv"
-        emit_report(self.make_result(), "csv", str(path))
+        write_outer_result(str(path), self.make_result())
         with open(path, newline="") as fh:
             row = next(csv.DictReader(fh))
         assert row["alpha_1"] == "0.42"
@@ -710,10 +754,6 @@ class TestEmitReport:
 
     def test_text_includes_percentage(self, tmp_path):
         path = tmp_path / "r.txt"
-        emit_report(self.make_result(), "text", str(path))
+        write_summary(str(path), self.make_result())
         text = path.read_text()
         assert "12.0%" in text
-
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError):
-            emit_report(self.make_result(), "yaml", str(tmp_path / "r"))

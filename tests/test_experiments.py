@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import wconv.experiments as experiments
-from wconv.density import MAX_DENSITY_VALUE, DensityVector
-from wconv.errors import DivergenceError
+from wconv.density import MAX_DENSITY_VALUE
+from wconv.errors import DivergenceError, SearchDivergedError
 from wconv.experiments import (DatasetSpec, bench_overhead,
                                build_direct_config, compare_densities,
                                default_alpha_bounds, gen_dataset,
@@ -136,8 +136,20 @@ class TestOptimizeDensity:
         monkeypatch.setattr(experiments, "sgd_train", stalled_train)
         objective = experiments._training_objective(gen_dataset(TINY_SPEC),
                                                     TINY_MODEL)
-        assert np.isnan(objective(np.array([1.8])))
         assert np.isfinite(objective(np.array([1.2])))
+        assert np.isnan(objective(np.array([1.8])))
+
+    def test_diverged_first_evaluation_ends_the_search(self, monkeypatch):
+        # The first evaluation is the uniform baseline; once it is finite, a
+        # diverged point only scores NaN.
+        def diverging_train(dataset, cfg):
+            raise DivergenceError(0, 0)
+
+        monkeypatch.setattr(experiments, "sgd_train", diverging_train)
+        objective = experiments._training_objective(gen_dataset(TINY_SPEC),
+                                                    TINY_MODEL)
+        with pytest.raises(SearchDivergedError, match="uniform baseline"):
+            objective(np.array([1.0]))
 
 
 class TestGoldenSearch:
@@ -170,7 +182,7 @@ class TestSweep:
     def test_single_value_matches_lone_run(self):
         data_cfg = TINY_SPEC
         rows = sweep_hyperparams("epochs", [2], data_cfg, TINY_MODEL,
-                                 direct_opts=dict(max_evals=9, max_iters=6))
+                                 tiny_direct())
         lone = optimize_density(replace(TINY_MODEL, epochs=2), tiny_direct(),
                                 gen_dataset(data_cfg))
         assert len(rows) == 1
@@ -180,7 +192,7 @@ class TestSweep:
 
     def test_rows_sorted_and_schema_fixed(self):
         rows = sweep_hyperparams("n_images", [6, 4], TINY_SPEC, TINY_MODEL,
-                                 direct_opts=dict(max_evals=5, max_iters=4))
+                                 tiny_direct(max_evals=5, max_iters=4))
         assert [r["axis_value"] for r in rows] == [4, 6]
         for row in rows:
             assert set(row) == {"axis", "axis_value", "alpha_1", "objective",
@@ -188,14 +200,19 @@ class TestSweep:
 
     def test_failed_row_recorded_and_sweep_continues(self):
         rows = sweep_hyperparams("channels", [0, 2], TINY_SPEC, TINY_MODEL,
-                                 direct_opts=dict(max_evals=5, max_iters=4))
+                                 tiny_direct(max_evals=5, max_iters=4))
         assert rows[0]["axis_value"] == 0
         assert rows[0]["error"] != ""
         assert rows[1]["error"] == ""
+        # The failed row has every column of the good one, left empty.
+        assert list(rows[0]) == list(rows[1])
+        assert all(rows[0][key] is None for key in
+                   ("alpha_1", "objective", "baseline", "improvement"))
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError):
-            sweep_hyperparams("widths", [1], TINY_SPEC, TINY_MODEL)
+            sweep_hyperparams("widths", [1], TINY_SPEC, TINY_MODEL,
+                              tiny_direct())
 
     def test_code_bug_propagates_instead_of_becoming_a_row(self, monkeypatch):
         def broken(*args, **kwargs):
@@ -204,17 +221,18 @@ class TestSweep:
         monkeypatch.setattr(experiments, "optimize_density", broken)
         with pytest.raises(TypeError, match="a bug"):
             sweep_hyperparams("epochs", [1], TINY_SPEC, TINY_MODEL,
-                              direct_opts=dict(max_evals=5, max_iters=4))
+                              tiny_direct(max_evals=5, max_iters=4))
 
 
 class TestCompareDensities:
     def test_five_families_five_rows(self):
         data = gen_dataset(TINY_SPEC)
-        optimal = DensityVector(np.array([0.4, 1.0, 0.4]))
-        rows = compare_densities(["uniform", "linear", "gaussian", "cubic",
-                                  "optimal"], TINY_MODEL, data,
-                                 optimal=optimal)
+        rows, search = compare_densities(["uniform", "linear", "gaussian",
+                                          "cubic", "optimal"], TINY_MODEL,
+                                         data, tiny_direct(max_evals=5))
         assert len(rows) == 5
+        assert rows[-1]["alpha"] == " ".join(
+            repr(float(v)) for v in search.alpha.values)
         assert [r["family"] for r in rows] == ["uniform", "linear", "gaussian",
                                                "cubic", "optimal"]
         for row in rows:
@@ -223,19 +241,52 @@ class TestCompareDensities:
 
     def test_uniform_row_equals_plain_conv_training(self):
         data = gen_dataset(TINY_SPEC)
-        rows = compare_densities(["uniform"], TINY_MODEL, data)
+        rows, search = compare_densities(["uniform"], TINY_MODEL, data,
+                                         tiny_direct())
         train, _ = split_dataset(data, TINY_MODEL.seed)
         plain = sgd_train(train, TINY_MODEL)
         assert rows[0]["final_loss"] == plain.final_loss
+        assert search is None
 
-    def test_optimal_family_requires_vector(self):
-        with pytest.raises(ValueError):
-            compare_densities(["optimal"], TINY_MODEL, gen_dataset(TINY_SPEC))
+    def test_search_runs_on_the_split_the_rows_hold_out_from(self, monkeypatch):
+        data = gen_dataset(replace(TINY_SPEC, n_images=10))
+        searched, scored = [], []
+        real_optimize, real_mse = experiments.optimize_density, experiments.mse_loss
 
-    def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError):
-            compare_densities(["triangular"], TINY_MODEL,
-                              gen_dataset(TINY_SPEC))
+        def recording_optimize(model_cfg, direct_cfg, dataset):
+            searched.append(dataset)
+            return real_optimize(model_cfg, direct_cfg, dataset)
+
+        def recording_mse(prediction, target):
+            scored.append(target)
+            return real_mse(prediction, target)
+
+        monkeypatch.setattr(experiments, "optimize_density", recording_optimize)
+        monkeypatch.setattr(experiments, "mse_loss", recording_mse)
+        compare_densities(["uniform", "optimal"], TINY_MODEL, data,
+                          tiny_direct(max_evals=3))
+        train, hold = split_dataset(data, TINY_MODEL.seed)
+
+        def images(pairs):
+            return [(x.tobytes(), t.tobytes()) for x, t in pairs]
+
+        [searched] = searched
+        assert images(searched) == images(train)
+        assert len(scored) == 2
+        for target in scored:
+            assert [t.tobytes() for t in target[:, 0]] == [t.tobytes()
+                                                          for _, t in hold]
+        held_out = {x for pair in images(hold) for x in pair}
+        assert not held_out & {x for pair in images(searched) for x in pair}
+
+    def test_unknown_family_rejected(self, monkeypatch):
+        trainings = []
+        monkeypatch.setattr(experiments, "sgd_train",
+                            lambda *args: trainings.append(args))
+        with pytest.raises(ValueError, match="triangular"):
+            compare_densities(["optimal", "triangular"], TINY_MODEL,
+                              gen_dataset(TINY_SPEC), tiny_direct())
+        assert trainings == []
 
 
 class TestSplitDataset:

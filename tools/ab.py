@@ -3,9 +3,12 @@
     python3 tools/ab.py --base 593a502 --label my_change \\
         --change "what the change does" --seeds 31-40 --pairs 10
 
-Checks the base revision out with ``git worktree add`` in a temporary
-directory and copies this tree's ``perfbench/`` into it, so both sides run
-the same benchmark code on their own ``src/``.  Then, per workload, it
+Exports both sides into a temporary directory, in the same way: the base
+revision with ``git archive``, and this working tree as the files git
+tracks or would track, uncommitted edits and untracked files that are not
+ignored included, but no ``.perfbench_out/``.  It copies this tree's
+``perfbench/`` over the base's, so both sides run the same benchmark code
+on their own ``src/``.  Then, per workload, it
 alternates ``perfbench/run.py --trace 0`` between the base and this tree,
 base first on even pairs (counting from 0), one seed per pair: pair ``i``
 runs ``seeds[i % len(seeds)]``.  ``--pairs N`` runs every workload of
@@ -20,12 +23,13 @@ environment field is null or the two sides' environments differ.  With
 ``--tier1`` it also times one run of the tier-1 test suite per side, base
 first, after the workloads, and records its wall time, its result line
 and the ids of the tests that failed or errored.
-The worktree is removed when the script ends.
+The temporary directory is removed when the script ends.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import re
@@ -33,6 +37,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 import time
 from pathlib import Path
@@ -116,9 +121,29 @@ def summarise(runs: dict[str, list[dict]], metrics: list[dict]) -> dict:
     return out
 
 
-def git(*args: str) -> str:
-    return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
-                          capture_output=True, text=True).stdout.strip()
+def git(*args: str, root: Path = ROOT, text: bool = True):
+    return subprocess.run(["git", "-C", str(root), *args], check=True,
+                          capture_output=True, text=text).stdout
+
+
+def export_revision(root: Path, rev: str, dest: Path) -> None:
+    """The files of revision ``rev`` of the repository at ``root``, in ``dest``."""
+    with tarfile.open(fileobj=io.BytesIO(git("archive", rev, root=root,
+                                             text=False))) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def export_working_tree(root: Path, dest: Path) -> None:
+    """The working tree at ``root`` as git sees it, in ``dest``: every file
+    git tracks or would track (so uncommitted edits and untracked files that
+    are not ignored), as it is on disk, except under ``.perfbench_out/``."""
+    listed = git("ls-files", "-z", "--cached", "--others", "--exclude-standard",
+                 root=root)
+    for name in sorted(set(listed.split("\0")) - {""}):
+        if name.startswith(".perfbench_out/") or not os.path.lexists(root / name):
+            continue  # a benchmark output, or a tracked file deleted on disk
+        (dest / name).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(root / name, dest / name, follow_symlinks=False)
 
 
 def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -134,9 +159,8 @@ def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         return json.load(fh)
 
 
-def measure(base_tree: Path, plan: dict[str, int], seeds: list[int],
+def measure(trees: dict[str, Path], plan: dict[str, int], seeds: list[int],
             seconds: float, metrics: list[dict]) -> dict:
-    trees = {"base": base_tree, "change": ROOT}
     result = {}
     for workload, pairs in plan.items():
         runs = {"base": [], "change": []}
@@ -212,26 +236,24 @@ def main(argv=None) -> int:
         return 2
     seconds = args.seconds if args.seconds is not None else float(bench["run_seconds"])
     try:
-        base = git("rev-parse", "--short", f"{args.base}^{{commit}}")
+        base = git("rev-parse", "--short", f"{args.base}^{{commit}}").strip()
     except subprocess.CalledProcessError:
         print(f"error: {args.base!r} names no commit", file=sys.stderr)
         return 2
     tmp = Path(tempfile.mkdtemp(prefix="wconv-ab-"))
-    base_tree = tmp / "base"
-    git("worktree", "add", "--detach", str(base_tree), base)
+    trees = {"base": tmp / "base", "change": tmp / "change"}
     try:
-        shutil.rmtree(base_tree / "perfbench", ignore_errors=True)
-        shutil.copytree(ROOT / "perfbench", base_tree / "perfbench",
-                        ignore=shutil.ignore_patterns("__pycache__", ".pytest_cache"))
-        workloads = measure(base_tree, plan, args.seeds, seconds,
-                            bench["end_to_end"])
-        tier1 = ({side: time_tier1(tree) for side, tree in
-                  (("base", base_tree), ("change", ROOT))} if args.tier1 else None)
+        export_revision(ROOT, base, trees["base"])
+        export_working_tree(ROOT, trees["change"])
+        shutil.rmtree(trees["base"] / "perfbench", ignore_errors=True)
+        shutil.copytree(trees["change"] / "perfbench", trees["base"] / "perfbench")
+        workloads = measure(trees, plan, args.seeds, seconds, bench["end_to_end"])
+        tier1 = ({side: time_tier1(tree) for side, tree in trees.items()}
+                 if args.tier1 else None)
     except (RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
-        git("worktree", "remove", "--force", str(base_tree))
         shutil.rmtree(tmp, ignore_errors=True)
 
     record = {
