@@ -28,7 +28,7 @@ from .errors import (DegenerateBatchError, DivergenceError, FormatError,
 from .experiments import (SWEEP_AXES, DatasetSpec, OuterResult, alpha_columns,
                           bench_overhead, build_direct_config,
                           compare_densities, gen_dataset, optimize_density,
-                          sweep_hyperparams)
+                          result_columns, sweep_hyperparams)
 from .network import ModelConfig, sgd_train
 from .spectral import run_verification
 from .tensors import tensor_read, tensor_write
@@ -82,10 +82,8 @@ def write_csv(path: str, rows: list[dict]) -> None:
 def write_outer_result(path: str, result: OuterResult) -> None:
     """A search's result as the one row of ``outer_result.csv``."""
     write_csv(path, [{
-        **alpha_columns(result.alpha.values[:result.alpha.free_count]),
-        "objective": result.objective, "baseline": result.baseline,
-        "improvement": result.improvement, "evals": result.evals,
-        "iterations": result.iterations,
+        **result_columns(result, result.alpha.free_count),
+        "evals": result.evals, "iterations": result.iterations,
         "bounds_lo": result.bounds[0], "bounds_hi": result.bounds[1]}])
 
 

@@ -7,7 +7,8 @@ potentially optimal rectangles (the lower-right convex hull of the
 locally-biased restriction) and trisects them along their longest sides.
 Rectangle sizes are measured by the longest side, 3^-level after `level`
 trisections of a dimension.  Everything is sequential with insertion-order
-tie-breaking, so a run is a pure function of its inputs.
+tie-breaking: rectangles are kept in creation order, and of equal values
+the first, oldest one wins, so a run is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ class HyperRect:
     center: np.ndarray
     levels: np.ndarray
     value: float
-    index: int
 
     @property
     def measure(self) -> float:
@@ -96,31 +96,24 @@ class DirectResult:
         return len(self.evals)
 
 
-def select_potentially_optimal(rects, epsilon: float = 1e-4,
-                               f_best: float | None = None):
+def select_potentially_optimal(rects, epsilon: float, f_best: float):
     """Subset of rectangles worth splitting this iteration.
 
-    Keeps the best rectangle of each size class (ties to the oldest), then
-    the lower-right convex hull of their (measure, value) points, pruned
-    by the epsilon slack against the incumbent.  Returned largest first.
+    ``rects`` are in creation order.  Keeps the best rectangle of each size
+    class (ties to the first in ``rects``, the oldest), then the lower-right
+    convex hull of their (measure, value) points, pruned by the epsilon
+    slack against the incumbent value ``f_best``.  Returned largest first.
     """
-    if not rects:
-        return []
     classes: dict[int, HyperRect] = {}
     for r in rects:
         key = int(r.levels.min())
         cur = classes.get(key)
-        if cur is None or r.value < cur.value or (r.value == cur.value
-                                                  and r.index < cur.index):
+        if cur is None or r.value < cur.value:
             classes[key] = r
     # Sort by measure ascending: deeper level = smaller cell first.
     cands = [classes[key] for key in sorted(classes.keys(), reverse=True)]
     values = [min(r.value, _BIG) for r in cands]
-    if f_best is None:
-        f_best = min(values)
     f_best = min(f_best, _BIG)
-    if len(cands) == 1:
-        return [cands[0]]
 
     # Lower hull over (measure, value), keeping collinear points.
     hull: list[int] = []
@@ -153,18 +146,16 @@ def select_potentially_optimal(rects, epsilon: float = 1e-4,
             reachable = fj - right_slope * dj
         else:
             reachable = -np.inf
-        if f_best != 0:
-            ok = reachable <= f_best - epsilon * abs(f_best)
-        else:
-            ok = reachable <= 0
-        if ok:
+        if reachable <= f_best - epsilon * abs(f_best):
             selected.append(cands[j])
-    selected.sort(key=lambda r: (-r.measure, r.index))
-    return selected
+    # The chain ascends in measure, one rectangle per size class, so
+    # reversed it is largest first.
+    return selected[::-1]
 
 
-def trisect(rect: HyperRect, evaluate, next_index: int):
-    """Split a rectangle along all of its longest sides.
+def trisect(rect: HyperRect, evaluate):
+    """Split a rectangle along all of its longest sides; returns the new
+    children, in creation order.
 
     Samples centre +- side/3 along each longest dimension (2 calls of
     ``evaluate`` on normalized points per dimension), then splits
@@ -190,11 +181,9 @@ def trisect(rect: HyperRect, evaluate, next_index: int):
     for _, d, minus, f_minus, plus, f_plus in samples:
         rect.levels = rect.levels.copy()
         rect.levels[d] += 1
-        children.append(HyperRect(minus, rect.levels.copy(), f_minus, next_index))
-        next_index += 1
-        children.append(HyperRect(plus, rect.levels.copy(), f_plus, next_index))
-        next_index += 1
-    return children, next_index
+        children.append(HyperRect(minus, rect.levels.copy(), f_minus))
+        children.append(HyperRect(plus, rect.levels.copy(), f_plus))
+    return children
 
 
 def minimize(objective, cfg: DirectConfig, init=None) -> DirectResult:
@@ -236,14 +225,15 @@ def minimize(objective, cfg: DirectConfig, init=None) -> DirectResult:
         return value
 
     init_value = evaluate(init_n)
+    # Only ever appended to, in creation order: a rectangle's position is its
+    # age, which breaks ties in select_potentially_optimal.
     rects = []
     if len(evals) < cfg.max_evals:
         center = np.full(n, 0.5)
         center_value = (init_value if np.array_equal(center, init_n)
                         else evaluate(center))
         rects.append(HyperRect(center, np.zeros(n, dtype=np.int64),
-                               center_value, 0))
-    next_index = 1
+                               center_value))
     trace = [TraceRow(0, len(evals), best_value, best_point)]
 
     stall = 0
@@ -257,8 +247,7 @@ def minimize(objective, cfg: DirectConfig, init=None) -> DirectResult:
             needed = 2 * int(np.sum(rect.levels == rect.levels.min()))
             if len(evals) + needed > cfg.max_evals:
                 continue
-            children, next_index = trisect(rect, evaluate, next_index)
-            rects.extend(children)
+            rects.extend(trisect(rect, evaluate))
             split_any = True
         trace.append(TraceRow(iteration, len(evals), best_value, best_point))
         if reference - best_value >= cfg.f_tol:

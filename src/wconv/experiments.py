@@ -9,7 +9,8 @@ decision has one owner here: the searches take the DIRECT box as a
 ``DirectConfig``, ``_training_objective`` is the one objective (and stops
 a search whose uniform baseline diverged), ``compare_densities`` draws the
 one holdout split and searches the optimal density on the rest, and
-``alpha_columns`` names the coefficient columns of every record.
+``alpha_columns`` names the coefficient columns of every record and
+``result_columns`` a search's result columns.
 """
 
 from __future__ import annotations
@@ -123,23 +124,32 @@ def build_direct_config(k: int, max_evals: int = 60, max_iters: int = 40,
                         alpha_hi: float | None = None) -> DirectConfig:
     """DIRECT over the free coefficients, each in [alpha_lo, alpha_hi]
     (default ``default_alpha_bounds(k)``), checked before any training:
-    alpha_lo must be >= 0 and alpha_hi at most ``MAX_DENSITY_VALUE``, so
-    that no density in the box overflows.  The tolerances default to
-    ``DirectConfig``'s."""
+    both bounds finite, alpha_lo >= 0, alpha_hi at most
+    ``MAX_DENSITY_VALUE`` so that no density in the box overflows, and
+    alpha_lo <= 1 <= alpha_hi with alpha_lo < alpha_hi, because the
+    uniform density is the search's forced first evaluation.  The
+    tolerances default to ``DirectConfig``'s."""
     if (alpha_lo is None) != (alpha_hi is None):
         raise ValueError("alpha_lo and alpha_hi must be given together")
     lo, hi = (alpha_lo, alpha_hi) if alpha_lo is not None else default_alpha_bounds(k)
+    for name, bound in (("alpha_lo", lo), ("alpha_hi", hi)):
+        if not math.isfinite(bound):
+            raise ValueError(f"{name} must be finite, got {bound!r}")
     if lo < 0:
         raise ValueError(f"alpha_lo must be >= 0, got {lo!r}")
-    n_free = (k - 1) // 2
-    cfg = DirectConfig(np.full(n_free, lo), np.full(n_free, hi),
-                       f_tol=f_tol, max_evals=max_evals, max_iters=max_iters,
-                       epsilon=epsilon)
-    # After DirectConfig, whose message names a non-finite bound.
     if hi > MAX_DENSITY_VALUE:
         raise ValueError(f"alpha_hi {hi!r} exceeds {MAX_DENSITY_VALUE!r}: the "
                          "density matrix alpha alpha^T would overflow")
-    return cfg
+    if not lo <= 1.0 <= hi:
+        raise ValueError(f"alpha_lo {lo!r} and alpha_hi {hi!r} must hold 1 "
+                         "between them: the search evaluates the uniform "
+                         "density (every coefficient 1) first, as its baseline")
+    if not lo < hi:
+        raise ValueError(f"alpha_lo {lo!r} must be below alpha_hi {hi!r}")
+    n_free = (k - 1) // 2
+    return DirectConfig(np.full(n_free, lo), np.full(n_free, hi),
+                        f_tol=f_tol, max_evals=max_evals, max_iters=max_iters,
+                        epsilon=epsilon)
 
 
 def _training_objective(dataset, model_cfg: ModelConfig):
@@ -170,6 +180,24 @@ def _training_objective(dataset, model_cfg: ModelConfig):
     return objective
 
 
+def _free_count(model_cfg: ModelConfig, direct_cfg: DirectConfig) -> int:
+    """The number of free density coefficients a search of
+    ``model_cfg.kernel`` taps in ``direct_cfg``'s box varies; a kernel with
+    no density to search, or a box of another dimension, is a
+    ``ValueError``."""
+    k = model_cfg.kernel
+    if k < 3:
+        raise ValueError(f"kernel extent must be >= 3 to have a density to "
+                         f"search, got {k}")
+    n_free = (k - 1) // 2
+    if direct_cfg.lower.shape[0] != n_free:
+        raise ValueError(
+            f"direct config has {direct_cfg.lower.shape[0]} dims, "
+            f"kernel {k} needs {n_free}"
+        )
+    return n_free
+
+
 def optimize_density(model_cfg: ModelConfig, direct_cfg: DirectConfig,
                      dataset) -> OuterResult:
     """Nested optimization: derivative-free search over the coefficients
@@ -182,24 +210,15 @@ def optimize_density(model_cfg: ModelConfig, direct_cfg: DirectConfig,
     nothing to improve on and raises ``SearchDivergedError`` before any
     other training run.
     """
-    k = model_cfg.kernel
-    if k < 3:
-        raise ValueError(f"kernel extent must be >= 3 to have a density to "
-                         f"search, got {k}")
+    n_free = _free_count(model_cfg, direct_cfg)
     if len(dataset) == 0:
         raise ValueError("dataset must be non-empty")
-    n_free = (k - 1) // 2
-    if direct_cfg.lower.shape[0] != n_free:
-        raise ValueError(
-            f"direct config has {direct_cfg.lower.shape[0]} dims, "
-            f"kernel {k} needs {n_free}"
-        )
     res = minimize(_training_objective(dataset, model_cfg), direct_cfg,
                    init=np.ones(n_free))
     baseline = res.evals[0][1]
     improvement = 1.0 - res.best_value / baseline if baseline > 0 else float("nan")
     return OuterResult(
-        alpha=density_from_free(res.best_point, k),
+        alpha=density_from_free(res.best_point, model_cfg.kernel),
         objective=res.best_value, baseline=baseline, improvement=improvement,
         evals=res.eval_count, iterations=res.iterations, trace=res.trace,
         bounds=(float(direct_cfg.lower[0]), float(direct_cfg.upper[0])),
@@ -214,17 +233,25 @@ def alpha_columns(point) -> dict:
             for i, c in enumerate(point, 1)}
 
 
-SWEEP_AXES = ("stride", "epochs", "n_images", "image_size", "channels")
-
-
-def _outer_row(axis: str, value, n_free: int, result: OuterResult | None,
-               error: str = "") -> dict:
-    """One sweep row; a run that failed has every column, left empty."""
+def result_columns(result: OuterResult | None, n_free: int) -> dict:
+    """A search's ``alpha_1``..``alpha_n``, ``objective``, ``baseline`` and
+    ``improvement`` columns, for ``n`` = ``n_free`` free coefficients; a run
+    that found no result (``None``) has every column, left empty."""
     point = result.alpha.values[:n_free] if result is not None else [None] * n_free
-    return {"axis": axis, "axis_value": value, **alpha_columns(point),
+    return {**alpha_columns(point),
             **{key: getattr(result, key, None)
-               for key in ("objective", "baseline", "improvement")},
-            "error": error}
+               for key in ("objective", "baseline", "improvement")}}
+
+
+# Each sweep axis: the config section it sets ("model" or "dataset", as in
+# cli.SETTINGS) and the fields of that section it sets to the axis value.
+SWEEP_AXES = {
+    "stride": ("model", ("stride",)),
+    "epochs": ("model", ("epochs",)),
+    "n_images": ("dataset", ("n_images",)),
+    "image_size": ("dataset", ("rows", "cols")),
+    "channels": ("model", ("channels",)),
+}
 
 
 def sweep_hyperparams(axis: str, values, dataset_spec: DatasetSpec,
@@ -232,34 +259,33 @@ def sweep_hyperparams(axis: str, values, dataset_spec: DatasetSpec,
     """One nested optimization in ``direct_cfg``'s box per axis value,
     everything else held fixed.
 
-    Image size stays fixed on the stride axis.  A run that diverges or
-    rejects its input becomes a row with its error message, and every other
-    column empty, and the sweep continues; any other exception is a bug and
-    propagates.  Rows come back sorted by axis value.
+    Image size stays fixed on the stride axis.  The kernel and the box,
+    which no axis changes, are checked once (``_free_count``), before any
+    dataset is generated.  A run that diverges or rejects its input becomes
+    a row with its error message, and every other column empty, and the
+    sweep continues; any other exception is a bug and propagates.  Rows
+    come back sorted by axis value.
     """
     if axis not in SWEEP_AXES:
-        raise ValueError(f"unknown sweep axis {axis!r}, expected one of {SWEEP_AXES}")
+        raise ValueError(f"unknown sweep axis {axis!r}, expected one of "
+                         f"{', '.join(SWEEP_AXES)}")
     if len(values) == 0:
         raise ValueError("sweep needs at least one value")
-    n_free = (model_cfg.kernel - 1) // 2
+    n_free = _free_count(model_cfg, direct_cfg)
+    section, fields = SWEEP_AXES[axis]
     rows = []
     for value in sorted(values):
+        result, error = None, ""
         try:
-            ds, mc = dataset_spec, model_cfg
-            if axis == "stride":
-                mc = replace(mc, stride=int(value))
-            elif axis == "epochs":
-                mc = replace(mc, epochs=int(value))
-            elif axis == "channels":
-                mc = replace(mc, channels=int(value))
-            elif axis == "n_images":
-                ds = replace(ds, n_images=int(value))
-            else:
-                ds = replace(ds, rows=int(value), cols=int(value))
-            result = optimize_density(mc, direct_cfg, gen_dataset(ds))
-            rows.append(_outer_row(axis, value, n_free, result))
+            configs = {"dataset": dataset_spec, "model": model_cfg}
+            configs[section] = replace(configs[section],
+                                       **dict.fromkeys(fields, int(value)))
+            result = optimize_density(configs["model"], direct_cfg,
+                                      gen_dataset(configs["dataset"]))
         except (DivergenceError, SearchDivergedError, ValueError) as exc:
-            rows.append(_outer_row(axis, value, n_free, None, error=str(exc)))
+            error = str(exc)
+        rows.append({"axis": axis, "axis_value": value,
+                     **result_columns(result, n_free), "error": error})
     return rows
 
 
@@ -291,8 +317,13 @@ def compare_densities(families, model_cfg: ModelConfig, dataset,
     ``direct_cfg``'s box on that same split, searched before any family
     trains.  Returns the rows, each with the final training loss and the
     mean squared error on the held-out images, and the search's
-    ``OuterResult`` (``None`` when "optimal" is not asked for).
+    ``OuterResult`` (``None`` when "optimal" is not asked for).  Fewer
+    than 2 images is a ``ValueError``, before any search or training: the
+    held-out image would leave none to train on.
     """
+    if len(dataset) < 2:
+        raise ValueError(f"n_images must be >= 2 to compare densities: one "
+                         f"image is held out for scoring, got {len(dataset)}")
     vectors = {family: named_density(family, model_cfg.kernel)
                for family in families if family != "optimal"}
     train, hold = split_dataset(dataset, model_cfg.seed)

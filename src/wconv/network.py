@@ -65,7 +65,7 @@ class ModelConfig:
             raise ValueError(f"learning_rate must be finite and >= 0, "
                              f"got {self.learning_rate}")
         if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.density is not None:
             d = np.asarray(self.density, dtype=np.float64)
             if d.shape != (self.kernel, self.kernel):

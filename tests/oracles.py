@@ -69,16 +69,17 @@ def potentially_optimal_oracle(rects, epsilon, f_best):
 
     A rectangle wins when some positive slope makes its (measure, value)
     point at least as good as every other and clears the epsilon slack on
-    the incumbent.
+    the incumbent.  Of equal values in a size class, the rectangle earlier
+    in ``rects`` wins.
     """
     best_per_class = {}
-    for r in rects:
+    for pos, r in enumerate(rects):
         key = int(r.levels.min())
         cur = best_per_class.get(key)
-        if cur is None or r.value < cur.value or (r.value == cur.value
-                                                  and r.index < cur.index):
-            best_per_class[key] = r
-    cands = list(best_per_class.values())
+        if cur is None or r.value < cur[1].value or (r.value == cur[1].value
+                                                     and pos < cur[0]):
+            best_per_class[key] = (pos, r)
+    cands = [r for _, r in best_per_class.values()]
     selected = []
     for rj in cands:
         dj, fj = rj.measure, rj.value

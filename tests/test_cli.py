@@ -86,6 +86,33 @@ class TestUsageErrors:
         assert "alpha_lo must be >= 0" in capsys.readouterr().err
         assert trainings == []
 
+    # (alpha_lo, alpha_hi, what the message says): a box that is not finite,
+    # is empty, or leaves out the uniform density, the search's first point.
+    @pytest.mark.parametrize("alpha_lo, alpha_hi, says", [
+        ("nan", "2", "alpha_lo must be finite, got nan"),
+        ("0", "0", "alpha_lo 0.0 and alpha_hi 0.0 must hold 1"),
+        ("1", "1", "alpha_lo 1.0 must be below alpha_hi 1.0"),
+        ("1.5", "2", "alpha_lo 1.5 and alpha_hi 2.0 must hold 1"),
+    ])
+    @pytest.mark.parametrize("command", [
+        ["optimize-density"], ["compare-densities"],
+        ["sweep", "--axis", "epochs", "--values", "1,2"]])
+    def test_bad_box_rejected_before_any_data(self, tmp_path, capsys,
+                                              monkeypatch, command, alpha_lo,
+                                              alpha_hi, says):
+        generated = []
+        for module in (cli, experiments):
+            monkeypatch.setattr(module, "gen_dataset",
+                                lambda spec: generated.append(spec))
+        code, out = run(tmp_path, *command, *MICRO_DATA, *MICRO_MODEL,
+                        *MICRO_DIRECT, "--alpha-lo", alpha_lo,
+                        "--alpha-hi", alpha_hi)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert says in err and "usage:" in err
+        assert generated == []
+        assert not out.exists() or list(out.iterdir()) == []
+
     # (command, setting, value, what the message names): a NaN or infinite
     # float setting of each section, on a command that reads it.
     NON_FINITE = [
@@ -96,7 +123,7 @@ class TestUsageErrors:
         (["train"], "learning_rate", "inf", "learning_rate"),
         (["optimize-density"], "epsilon", "nan", "epsilon"),
         (["optimize-density"], "f_tol", "nan", "f_tol"),
-        (["optimize-density"], "alpha_hi", "inf", "bounds"),
+        (["optimize-density"], "alpha_hi", "inf", "alpha_hi"),
         (["compare-densities"], "epsilon", "inf", "epsilon"),
         (["sweep", "--axis", "epochs", "--values", "1,2"], "f_tol", "nan", "f_tol"),
         (["sweep", "--axis", "epochs", "--values", "1,2"], "learning_rate", "nan",
@@ -499,6 +526,29 @@ class TestSweep:
         assert [r["axis_value"] for r in rows] == ["1", "2"]
         assert all(r["error"] == "" for r in rows)
 
+    def test_search_that_fails_for_every_value_is_a_usage_error(
+            self, tmp_path, capsys, monkeypatch):
+        generated = []
+        monkeypatch.setattr(experiments, "gen_dataset",
+                            lambda spec: generated.append(spec))
+        code, out = run(tmp_path, "sweep", "--axis", "epochs", "--values", "1,2",
+                        "--kernel", "1", "--n-images", "2", "--rows", "8",
+                        "--cols", "8")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("kernel extent must be >= 3") == 1 and "usage:" in err
+        assert generated == []
+        assert list(out.iterdir()) == []
+
+    def test_value_that_fails_alone_is_an_error_row(self, tmp_path):
+        code, out = run(tmp_path, "sweep", "--axis", "channels", "--values",
+                        "0,2", *MICRO_DATA, *MICRO_MODEL, *MICRO_DIRECT)
+        assert code == 0
+        with open(out / "sweep_channels.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert "channels must be >= 1" in rows[0]["error"]
+        assert rows[1]["error"] == ""
+
 
 class TestCompare:
     def test_compare_csv_all_families(self, tmp_path):
@@ -546,6 +596,18 @@ class TestCompare:
         assert "--families" in capsys.readouterr().err
         assert trainings == []
         assert not (out / "compare.csv").exists()
+
+    def test_one_image_is_a_usage_error_before_any_training(
+            self, tmp_path, capsys, monkeypatch):
+        trainings = count_trainings(monkeypatch)
+        code, out = run(tmp_path, "compare-densities", "--n-images", "1",
+                        "--rows", "8", "--cols", "8", *MICRO_MODEL,
+                        *MICRO_DIRECT)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "n_images must be >= 2" in err and "held out" in err
+        assert trainings == []
+        assert list(out.iterdir()) == []
 
 
 class TestBench:
@@ -718,6 +780,66 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert named in err
         assert "usage:" in err
+
+
+def flag_of(key):
+    return "--lr" if key == "learning_rate" else "--" + key.replace("_", "-")
+
+
+# Edge values of each setting type.  Sizes get only 0 and -1: a huge
+# n_images, rows or epochs would be run, not rejected, so huge sizes stay
+# untested.
+EDGE_VALUES = {float: ("0", "-0.0", "-1", "nan", "inf", "-inf", "1e308", "5e-324"),
+               int: ("0", "-1")}
+# The sections each subcommand reads, and its other arguments.
+CONTRACT_COMMANDS = {
+    "gen-data": (("dataset",), []),
+    "train": (("dataset", "model"), []),
+    "optimize-density": (("dataset", "model", "direct"), []),
+    "sweep": (("dataset", "model", "direct"), ["--axis", "epochs", "--values", "1"]),
+    "compare-densities": (("dataset", "model", "direct"), []),
+}
+CONTRACT_MICRO = {"dataset": ["--n-images", "4", "--rows", "8", "--cols", "8"],
+                  "model": ["--kernel", "3", "--channels", "2", "--epochs", "1"],
+                  "direct": ["--max-evals", "3", "--max-iters", "2"]}
+# alpha_lo and alpha_hi are given together: each edge value gets a valid
+# partner.
+CONTRACT_PARTNER = {"alpha_lo": ["--alpha-hi", "2"], "alpha_hi": ["--alpha-lo", "0"]}
+
+
+class TestSettingsContract:
+    """Every setting of ``cli.SETTINGS``, on every subcommand that reads it,
+    at the edge values of its type: a run ends with a documented exit code
+    and no traceback or warning, and a usage error names the setting and
+    writes nothing."""
+
+    @pytest.mark.parametrize("command, key, value", [
+        pytest.param(command, key, value, id=f"{command}-{key}={value}")
+        for command, (sections, _) in CONTRACT_COMMANDS.items()
+        for section in sections
+        for key, kind in cli.SETTINGS[section].items()
+        for value in EDGE_VALUES[kind]])
+    def test_edge_value(self, tmp_path, capsys, command, key, value):
+        sections, extra = CONTRACT_COMMANDS[command]
+        argv = [command, *extra,
+                *(arg for section in sections for arg in CONTRACT_MICRO[section]),
+                *CONTRACT_PARTNER.get(key, []), f"{flag_of(key)}={value}"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run(tmp_path, *argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err and "Warning" not in err and caught == []
+        if code == 2:
+            assert key in err
+            assert not out.exists() or list(out.iterdir()) == []
+        if command == "sweep" and code == 0:
+            # A value's search may diverge (a learning rate of 0 never lowers
+            # the loss), but a usage error must not become a row per value.
+            with open(out / "sweep_epochs.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert (any(row["error"] == "" for row in rows)
+                    or all("diverged" in row["error"] for row in rows))
 
 
 class TestOutDirDiscipline:

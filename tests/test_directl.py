@@ -7,28 +7,33 @@ from wconv.directl import (DirectConfig, HyperRect, minimize,
 from wconv.errors import SearchDivergedError
 
 
-def make_rect(levels, value, index):
+def make_rect(levels, value):
     levels = np.asarray(levels, dtype=np.int64)
-    return HyperRect(np.full(levels.shape[0], 0.5), levels, value, index)
+    return HyperRect(np.full(levels.shape[0], 0.5), levels, value)
+
+
+def positions(rects, chosen):
+    """The positions in ``rects`` of the rectangles in ``chosen``."""
+    return {i for i, r in enumerate(rects) if any(r is c for c in chosen)}
 
 
 class TestSelectPotentiallyOptimal:
     def test_single_rect_selected(self):
-        rect = make_rect([0], 3.0, 0)
-        assert select_potentially_optimal([rect]) == [rect]
+        rect = make_rect([0], 3.0)
+        assert select_potentially_optimal([rect], 1e-4, 3.0) == [rect]
 
     def test_equal_measure_keeps_lower_value(self):
-        a = make_rect([1], 1.0, 0)
-        b = make_rect([1], 2.0, 1)
-        assert select_potentially_optimal([a, b]) == [a]
+        a = make_rect([1], 1.0)
+        b = make_rect([1], 2.0)
+        assert select_potentially_optimal([a, b], 1e-4, 1.0) == [a]
 
     def test_hand_built_five_rect_hull(self):
-        rects = [make_rect([0], 5.0, 0), make_rect([1], 3.0, 1),
-                 make_rect([1], 4.0, 2), make_rect([2], 1.0, 3),
-                 make_rect([2], 2.0, 4)]
+        rects = [make_rect([0], 5.0), make_rect([1], 3.0),
+                 make_rect([1], 4.0), make_rect([2], 1.0),
+                 make_rect([2], 2.0)]
         got = select_potentially_optimal(rects, epsilon=1e-4, f_best=1.0)
         want = potentially_optimal_oracle(rects, 1e-4, 1.0)
-        assert {r.index for r in got} == {r.index for r in want} == {0, 3}
+        assert positions(rects, got) == positions(rects, want) == {0, 3}
 
     def test_matches_slope_oracle_on_random_configs(self):
         rng = np.random.default_rng(0)
@@ -37,12 +42,12 @@ class TestSelectPotentiallyOptimal:
             rects = []
             for i in range(int(rng.integers(2, 12))):
                 levels = rng.integers(0, 4, ndim)
-                rects.append(make_rect(levels, float(rng.uniform(-5, 5)), i))
+                rects.append(make_rect(levels, float(rng.uniform(-5, 5))))
             f_best = min(r.value for r in rects)
-            got = {r.index for r in
-                   select_potentially_optimal(rects, 1e-4, f_best)}
-            want = {r.index for r in
-                    potentially_optimal_oracle(rects, 1e-4, f_best)}
+            got = positions(rects,
+                            select_potentially_optimal(rects, 1e-4, f_best))
+            want = positions(rects,
+                             potentially_optimal_oracle(rects, 1e-4, f_best))
             assert got == want, f"trial {trial}: {got} != {want}"
 
 
@@ -58,8 +63,8 @@ def counting(fn):
 class TestTrisect:
     def test_unit_interval_three_cells(self):
         evaluate = counting(lambda x: float(x[0]))
-        root = HyperRect(np.array([0.5]), np.zeros(1, dtype=np.int64), 0.5, 0)
-        children, _ = trisect(root, evaluate, 1)
+        root = HyperRect(np.array([0.5]), np.zeros(1, dtype=np.int64), 0.5)
+        children = trisect(root, evaluate)
         assert len(evaluate.calls) == 2
         assert len(children) == 2
         widths = [c.measure for c in children] + [root.measure]
@@ -71,18 +76,18 @@ class TestTrisect:
         for levels in ([0, 0], [0, 1], [1, 1, 1]):
             n = len(levels)
             evaluate = counting(lambda x: float(np.sum(x)))
-            rect = HyperRect(np.full(n, 0.5), np.asarray(levels, np.int64), 0.0, 0)
+            rect = HyperRect(np.full(n, 0.5), np.asarray(levels, np.int64), 0.0)
             n_longest = sum(1 for v in levels if v == min(levels))
-            trisect(rect, evaluate, 1)
+            trisect(rect, evaluate)
             assert len(evaluate.calls) == 2 * n_longest
 
     def test_children_partition_parent_volume(self):
         def volume(r):
             return float(np.prod(3.0 ** -r.levels.astype(np.float64)))
 
-        rect = HyperRect(np.full(2, 0.5), np.ones(2, dtype=np.int64), 0.0, 0)
+        rect = HyperRect(np.full(2, 0.5), np.ones(2, dtype=np.int64), 0.0)
         parent_volume = volume(rect)
-        children, _ = trisect(rect, lambda x: float(np.sum(x**2)), 1)
+        children = trisect(rect, lambda x: float(np.sum(x**2)))
         total = volume(rect) + sum(volume(c) for c in children)
         assert abs(total - parent_volume) < 1e-12 * parent_volume
 
