@@ -5,8 +5,8 @@ bench, verify.  All outputs land under --out-dir (or $WCONV_OUT_DIR) as
 CSV/JSON/WCT1 files written atomically; wall-clock timings go to stdout
 only, so files are byte-stable across reruns with the same seeds.  Exit
 codes: 0 success, 1 domain failure (divergence, a search whose every
-evaluation or uniform baseline diverged, verification FAIL, bad data
-files), 2 usage or validation error.
+evaluation or uniform baseline diverged, a sweep whose every value
+failed, verification FAIL, bad data files), 2 usage or validation error.
 """
 
 from __future__ import annotations
@@ -182,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_config(config) -> None:
-    """Reject a section or key that nothing reads, or a value of the wrong type."""
+    """Reject a section or key that nothing reads, a value of the wrong
+    type, or an integer too large for its float setting."""
     if not isinstance(config, dict):
         raise ValueError("config must be a JSON object")
     for name, section in config.items():
@@ -204,6 +205,13 @@ def _check_config(config) -> None:
                                       or not isinstance(value, types)):
                 raise ValueError(f"config value {name}.{key} = {value!r} "
                                  "has the wrong type")
+            if kind is float and isinstance(value, int):
+                # JSON integers are unbounded; a float setting must convert.
+                try:
+                    float(value)
+                except OverflowError:
+                    raise ValueError(f"config value {name}.{key} is an integer "
+                                     "too large for a float") from None
 
 
 def _load_config(path) -> dict:
@@ -349,11 +357,18 @@ def _cmd_sweep(args, config, seed, out_dir) -> int:
     if args.axis == "stride":
         print("note: image size is held fixed while the stride varies")
     rows = sweep_hyperparams(args.axis, args.values, spec, cfg, direct_cfg)
-    write_csv(os.path.join(out_dir, f"sweep_{args.axis}.csv"), rows)
+    name = f"sweep_{args.axis}.csv"
+    write_csv(os.path.join(out_dir, name), rows)
     for row in rows:
         alpha_1 = row.get("alpha_1")
         status = row["error"] or (f"alpha_1={alpha_1:.4f}" if alpha_1 is not None else "")
         print(f"{args.axis}={row['axis_value']}: {status}")
+    if all(row["error"] for row in rows):
+        # No value has a result: a failed run, as a search that diverges
+        # everywhere is for optimize-density.
+        print(f"error: every search of the sweep failed; {name} holds each "
+              "value's error", file=sys.stderr)
+        return 1
     return 0
 
 

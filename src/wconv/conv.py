@@ -11,7 +11,7 @@ it.  The other operators take the density folded into the kernel
 gradient, take the folded kernel, and ``grad_weights`` takes the density and
 returns the gradient of the weights behind the folded kernel.
 
-Every operator but one lowering of the transposed conv is a gather
+Every operator but the two lowerings described further down is a gather
 followed by ``np.matmul`` (im2col; Chellapilla, Puri & Simard, 2006).
 For a chunk of images, the taps of every channel are gathered into one
 (images, channels * taps, pixels) matrix, which is contracted against
@@ -37,6 +37,28 @@ filters to 1 channel, K=5, stride 2, a call takes a third of the gather's
 time.  With fewer filters per channel the K x K shifted additions cost
 more than the gather saves (the measurements are at the constant), so
 such kernels, the desk's 2 -> 1 among them, keep the gather.
+
+A stride-1 ``conv2d``, and the fused stride-1 ``grad_input``, of a kernel
+with at least ``_MEC_CHANNELS`` (4) filters and at least as many input
+channels are lowered by rows instead (MEC; Cho & Brand, 2017); the rule
+looks at the kernel's shape alone.  A chunk of images is copied K times,
+once per column offset, into a buffer with K // 2 zero rows above and
+below each image; im2col copies it K x K times.  One product of the
+(filters * K, channels * K) weights with that buffer gives one plane per
+filter and row offset.  The output is the sum of the K planes, each read
+from its row offset on, added in the order of the offsets.  The fused
+input gradient does the same with the flipped, channel-swapped kernel on
+the upstream, and takes the weight gradient from one product of the
+upstream's buffer with K row-shifted copies of the input.  Measured per
+call, rows won for every kernel with at least 2 filters and 2 channels,
+counting a layer's forward pass and fused gradient together (the numbers
+are at the constant).  The constant is 4 to keep three sets of kernels on
+the gather.  The desk's layers have at most 2 channels, so desk outputs
+stay byte-identical.  Criterion 8 (1 -> 1) and ``bench``'s defaults (3
+channels) time the weighted conv against the standard conv; the weighted
+conv always gathers taps, because it scales each tap by the density, so
+both must lower alike.  ``grad_weights`` always gathers too: no workload
+calls it at stride 1 on a kernel above the constant.
 
 A layer's backward pass takes both of its gradients from one gather, and
 the gradient operators return only what that gather makes; the bias
@@ -257,6 +279,87 @@ def _centred(k):
     return offsets, offsets
 
 
+# Smallest channel count, of the filters and of the input channels alike,
+# from which a stride-1 ``conv2d`` and the fused stride-1 ``grad_input``
+# lower by rows (``_mec``) instead of gathering taps (im2col).  Medians of
+# interleaved calls on a 2-core AMD EPYC, 8 images of 32 x 32, rows against
+# the gather, for the forward and the fused gradient, over two or three
+# runs (the gather slows more when other processes load the machine):
+# 16 -> 16 channels at K=5 x0.36-0.56 and x0.56-0.70; 4 -> 4 at K=3
+# x0.68-0.70 and x0.82-0.93, at K=5 x0.44-0.45 and x0.72-0.73; 2 -> 2 at
+# K=3 x0.56-0.60 and x0.82-0.84.  With few filters for the gradient to
+# gather, the gradient alone is slower and the layer still faster: 16 -> 4
+# at K=3 x0.52-0.53 and x1.25.  Below 4 the desk, criterion 8 and
+# ``bench`` shapes keep the gather (see the module docstring).
+_MEC_CHANNELS = 4
+
+
+def _lowers_by_rows(weights) -> bool:
+    """Whether a stride-1 conv with ``weights`` takes the MEC lowering."""
+    return min(weights.shape[:2]) >= _MEC_CHANNELS
+
+
+def _mec(x, weights, out, y=None):
+    """Stride-1 conv of ``x`` with ``weights`` (M, channels, K, K) into
+    ``out`` (batch, M, rows, cols), which may be a strided view, lowered by
+    rows (MEC; Cho & Brand, 2017), a chunk of images at a time.
+
+    The chunk is copied once per column offset b into a row buffer of
+    (images, channels, K, rows + K - 1, cols), with K // 2 zero rows above
+    and below each image: row (c, b) holds ``x[:, c, r - K // 2,
+    j + b - K // 2]`` at padded row r and column j, zero outside the image.
+    One product of depth channels * K, of the (M * K, channels * K) weights
+    with rows (f, a) and the buffer, gives a plane per filter f and row
+    offset a, and ``out`` is the sum over a, in the order of a, of plane a
+    read from padded row a on.
+
+    With ``y`` (batch, N, rows, cols), also return the (channels * K,
+    N * K) sum over images of the row buffer times the transposed row
+    shifts of ``y``, else None: entry ((c, b), (n, a)) sums
+    ``x[:, c, i, j + b - K // 2] * y[:, n, i + a - K // 2, j]`` over pixels
+    (i, j).  The shifts are K copies of the chunk of ``y``, one per row
+    offset, into a buffer of the row buffer's shape, so the sum is one
+    product per chunk."""
+    bsz, _, rows, cols = x.shape
+    m, cin, k, _ = weights.shape
+    pad, padded = k // 2, rows + k - 1
+    ny = 0 if y is None else y.shape[1]
+    # The chunk's budget holds its buffers and its product.
+    chunk = min(_chunk((cin + m + ny) * k * padded * cols), bsz)
+    # Zeroed once: every chunk writes the same in-image entries.
+    buf = np.zeros((chunk, cin, k, padded, cols))
+    flat = buf.reshape(chunk, cin * k, padded * cols)
+    col_ranges = [_tap_range(b - pad, 1, cols, cols) for b in range(k)]
+    copies = [((slice(None), slice(None), b, slice(pad, pad + rows), cr[0]),
+               (Ellipsis, cr[1]))
+              for b, cr in enumerate(col_ranges) if cr is not None]
+    w2 = weights.transpose(0, 2, 1, 3).reshape(m * k, cin * k)
+    planes = np.empty((chunk, m, k, padded, cols))
+    acc = None
+    if y is not None:
+        shifts = np.zeros((chunk, ny, k, padded, cols))
+        row_ranges = [_tap_range(a - 2 * pad, 1, rows, padded) for a in range(k)]
+        shift_copies = [((slice(None), slice(None), a, rr[0]),
+                         (Ellipsis, rr[1], slice(None)))
+                        for a, rr in enumerate(row_ranges) if rr is not None]
+        acc = np.zeros((cin * k, ny * k))
+    for s0 in range(0, bsz, chunk):
+        n = min(chunk, bsz - s0)
+        for dst, src in copies:
+            np.copyto(buf[:n][dst], x[s0:s0 + n][src])
+        _matmul(w2, flat[:n], planes[:n].reshape(n, m * k, padded * cols))
+        target = out[s0:s0 + n]
+        np.copyto(target, planes[:n, :, 0, :rows])
+        for a in range(1, k):
+            target += planes[:n, :, a, a:a + rows]
+        if y is not None:
+            for dst, src in shift_copies:
+                np.copyto(shifts[:n][dst], y[s0:s0 + n][src])
+            sflat = shifts[:n].reshape(n, ny * k, padded * cols)
+            acc += _matmul(flat[:n], sflat.swapaxes(1, 2)).sum(axis=0)
+    return acc
+
+
 def _contract(x, offsets, stride, ro, co, density=None, *, w2=None, out=None,
               up=None):
     """One gather of the columns of ``x`` that ``_columns`` makes at
@@ -294,8 +397,11 @@ def _forward(x, weights, density, bias, stride, out=None):
     fout, _, k, _ = weights.shape
     ro, co = -(-rows // stride), -(-cols // stride)
     out = _output(out, (bsz, fout, ro, co))
-    _contract(x, _centred(k), stride, ro, co, density,
-              w2=weights.reshape(fout, cin * k * k), out=out)
+    if density is None and stride == 1 and _lowers_by_rows(weights):
+        _mec(x, weights, out)
+    else:
+        _contract(x, _centred(k), stride, ro, co, density,
+                  w2=weights.reshape(fout, cin * k * k), out=out)
     if bias is not None:
         out += bias[:, None, None]
     return out
@@ -513,9 +619,19 @@ def grad_input(kernel: KernelStack, upstream, input_hw=None, stride: int = 1,
         raise ShapeError(f"input shape {x.shape} does not match upstream and "
                          f"input size {rows}x{cols}")
     density = _check_density(density, kernel.k)
-    dx, acc = _transposed(kernel.weights, upstream, rows, cols, 1, out, x)
     fout, cin, k, _ = kernel.weights.shape
-    gw = np.ascontiguousarray(acc.reshape(cin, fout, k, k).transpose(1, 0, 2, 3))
+    if _lowers_by_rows(kernel.weights):
+        # The adjoint is the conv with the flipped, channel-swapped kernel,
+        # and entry ((f, b), (c, a)) of _mec's sum is the weight gradient
+        # at tap (a, K - 1 - b).
+        dx = _output(out, x.shape)
+        flipped = kernel.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        acc = _mec(upstream, flipped, dx, x)
+        gw = acc.reshape(fout, k, cin, k).transpose(0, 2, 3, 1)[..., ::-1]
+        gw = np.ascontiguousarray(gw)
+    else:
+        dx, acc = _transposed(kernel.weights, upstream, rows, cols, 1, out, x)
+        gw = np.ascontiguousarray(acc.reshape(cin, fout, k, k).transpose(1, 0, 2, 3))
     gw *= density
     return WeightGrad(gw, dx)
 

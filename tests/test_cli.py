@@ -540,6 +540,19 @@ class TestSweep:
         assert generated == []
         assert list(out.iterdir()) == []
 
+    def test_sweep_whose_every_search_diverges_fails(self, tmp_path, capsys):
+        # A learning rate of 0 never lowers the loss, so the uniform
+        # baseline's search diverges: the rows are written, then exit 1.
+        code, out = run(tmp_path, "sweep", "--axis", "epochs", "--values", "1",
+                        "--lr", "0", "--kernel", "3", "--n-images", "4",
+                        "--rows", "8", "--cols", "8", "--max-evals", "3")
+        assert code == 1
+        assert "every search of the sweep failed" in capsys.readouterr().err
+        with open(out / "sweep_epochs.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["axis_value"] for r in rows] == ["1"]
+        assert "diverged" in rows[0]["error"]
+
     def test_value_that_fails_alone_is_an_error_row(self, tmp_path):
         code, out = run(tmp_path, "sweep", "--axis", "channels", "--values",
                         "0,2", *MICRO_DATA, *MICRO_MODEL, *MICRO_DIRECT)
@@ -782,6 +795,25 @@ class TestConfigFile:
         assert "usage:" in err
 
 
+    @pytest.mark.parametrize("command, section, key, extra", [
+        ("train", "model", "learning_rate", []),
+        ("optimize-density", "direct", "alpha_hi", ["--kernel", "3"])])
+    def test_integer_too_large_for_a_float_is_a_usage_error(
+            self, tmp_path, capsys, monkeypatch, command, section, key, extra):
+        generated = []
+        monkeypatch.setattr(cli, "gen_dataset", lambda spec: generated.append(spec))
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({section: {key: 10 ** 400}}))
+        code, out = run(tmp_path, "--config", str(cfg_file), command,
+                        "--n-images", "2", "--rows", "8", "--cols", "8",
+                        "--epochs", "1", *extra)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{section}.{key}" in err and "usage:" in err
+        assert "Traceback" not in err
+        assert generated == [] and not out.exists()
+
+
 def flag_of(key):
     return "--lr" if key == "learning_rate" else "--" + key.replace("_", "-")
 
@@ -834,12 +866,11 @@ class TestSettingsContract:
             assert key in err
             assert not out.exists() or list(out.iterdir()) == []
         if command == "sweep" and code == 0:
-            # A value's search may diverge (a learning rate of 0 never lowers
-            # the loss), but a usage error must not become a row per value.
+            # A sweep whose every value failed exits 1, and a usage error
+            # must not become a row per value.
             with open(out / "sweep_epochs.csv", newline="") as fh:
                 rows = list(csv.DictReader(fh))
-            assert (any(row["error"] == "" for row in rows)
-                    or all("diverged" in row["error"] for row in rows))
+            assert any(row["error"] == "" for row in rows)
 
 
 class TestOutDirDiscipline:

@@ -725,6 +725,176 @@ class TestFusedGathers:
                 call(np.empty(shape[:-1] + (shape[-1] + 1,)))
 
 
+# (in_channels, filters) on each side of ``_MEC_CHANNELS``: a stride-1 conv
+# and its fused input gradient lower by rows (``_mec``) when both counts
+# reach it, and by taps (im2col) with one channel fewer.
+ROW_LOWERED = [(4, 4), (4, 9), (9, 4)]
+TAP_LOWERED = [(3, 4), (4, 3)]
+
+
+def record_lowerings(monkeypatch):
+    """The list of the lowerings the operators run from now on: "rows" for
+    each ``_mec`` call, "taps" for each im2col gather."""
+    seen = []
+    for name, label in (("_mec", "rows"), ("_columns", "taps")):
+        real = getattr(conv, name)
+
+        def recorded(*args, _real=real, _label=label, **kwargs):
+            seen.append(_label)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(conv, name, recorded)
+    return seen
+
+
+class TestRowLowering:
+    """Stride-1 ``conv2d`` and the fused stride-1 ``grad_input`` lowered by
+    rows (MEC), against the oracle and the im2col operators, on both sides
+    of the crossover."""
+
+    @staticmethod
+    def make_case(bsz, cin, fout, k, hw=(6, 5), seed=70):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((bsz, cin) + hw)
+        kernel = KernelStack(rng.standard_normal((fout, cin, k, k)),
+                             rng.standard_normal(fout))
+        phi = rng.uniform(0.1, 2.0, (k, k))
+        up = rng.standard_normal((bsz, fout) + hw)
+        return x, kernel, phi, up
+
+    @staticmethod
+    def lowering(cin, fout):
+        return "rows" if (cin, fout) in ROW_LOWERED else "taps"
+
+    def test_the_cases_straddle_the_crossover(self):
+        assert all(min(pair) >= conv._MEC_CHANNELS for pair in ROW_LOWERED)
+        assert all(min(pair) == conv._MEC_CHANNELS - 1 for pair in TAP_LOWERED)
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    @pytest.mark.parametrize("cin,fout", ROW_LOWERED + TAP_LOWERED)
+    def test_forward_matches_oracle(self, cin, fout, k, monkeypatch):
+        x, kernel, _, _ = self.make_case(2, cin, fout, k)
+        seen = record_lowerings(monkeypatch)
+        got = conv2d(x, kernel)
+        assert seen == [self.lowering(cin, fout)]
+        assert rel_err(got, conv_oracle(x, kernel.weights, kernel.bias)) < 1e-12
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    @pytest.mark.parametrize("cin,fout", ROW_LOWERED + TAP_LOWERED)
+    def test_fused_input_gradient_is_adjoint_of_oracle(self, cin, fout, k,
+                                                       monkeypatch):
+        x, kernel, phi, up = self.make_case(2, cin, fout, k, seed=71)
+        seen = record_lowerings(monkeypatch)
+        got = grad_input(scale_kernel(kernel, phi), up, x.shape[2:], x=x,
+                         density=phi)
+        assert seen == [self.lowering(cin, fout)]
+        lhs = np.vdot(conv_oracle(x, kernel.weights, None, phi), up)
+        rhs = np.vdot(x, got.input)
+        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    @pytest.mark.parametrize("cin,fout", ROW_LOWERED + TAP_LOWERED)
+    def test_fused_gradients_match_finite_differences(self, cin, fout, k):
+        x, kernel, phi, up = self.make_case(2, cin, fout, k, hw=(5, 4), seed=72)
+        got = grad_input(scale_kernel(kernel, phi), up, x.shape[2:], x=x,
+                         density=phi)
+        fd_w = fd_gradient(lambda wv: np.vdot(
+            conv2d_weighted(x, KernelStack(wv), phi), up), kernel.weights)
+        assert rel_err(got.weights, fd_w) < 1e-6
+        fd_x = fd_gradient(lambda xv: np.vdot(
+            conv2d_weighted(xv, kernel, phi), up), x)
+        assert rel_err(got.input, fd_x) < 1e-6
+
+    # 11 images of 20 x 16, 8 channels, 8 filters, K = 5.  Each image's row
+    # buffer and product take (8 + 8) * 5 * 24 * 16 entries, 4 images per
+    # chunk at 1 MiB (chunks of 4, 4 and 3); the fused gradient's chunk
+    # also holds the input's row shifts, 2 images (five of 2 and one of 1).
+    BATCH, CIN, FOUT, K, HW = 11, 8, 8, 5, (20, 16)
+
+    def chunks(self):
+        padded_image = self.K * (self.HW[0] + self.K - 1) * self.HW[1]
+        return (conv._chunk((self.CIN + self.FOUT) * padded_image),
+                conv._chunk((self.FOUT + self.CIN + self.CIN) * padded_image))
+
+    def test_batch_splits_unevenly_into_chunks(self):
+        for chunk in self.chunks():
+            assert self.BATCH > 2 * chunk and self.BATCH % chunk != 0
+
+    def test_chunked_batch_and_given_arrays(self):
+        x, kernel, phi, up = self.make_case(self.BATCH, self.CIN, self.FOUT,
+                                            self.K, self.HW, seed=73)
+        # The im2col operators, oracle-tested above, are the reference: a
+        # weighted conv at an all-ones density, and the unfused gradients.
+        want = conv2d_weighted(x, kernel, np.ones((self.K, self.K)))
+        folded = scale_kernel(kernel, phi)
+        want_dx = grad_input(folded, up, self.HW)
+        want_dw = grad_weights(x, phi, up).weights
+        for call, shape, reference in [
+                (lambda out: conv2d(x, kernel, out=out), want.shape, want),
+                (lambda out: grad_input(folded, up, self.HW, x=x, density=phi,
+                                        out=out).input, x.shape, want_dx)]:
+            assert rel_err(call(None), reference) < 1e-12
+            contiguous = np.full(shape, np.nan)
+            # Every other column of a wider array, one channel short of it.
+            wider = np.full(shape[:1] + (shape[1] + 1, shape[2], 2 * shape[3]),
+                            np.nan)
+            strided = wider[:, :shape[1], :, ::2]
+            for out in (contiguous, strided):
+                assert call(out) is out
+                assert rel_err(out, reference) < 1e-12
+            assert np.isnan(wider[:, shape[1]]).all()
+            assert np.isnan(wider[..., 1::2]).all()
+        got = grad_input(folded, up, self.HW, x=x, density=phi)
+        assert rel_err(got.weights, want_dw) < 1e-12
+
+    def test_products_deeper_than_one_blas_block(self, monkeypatch):
+        # 64 channels and 64 filters at K = 5: each product of the conv and
+        # of the input gradient is 320 terms deep, and the weight gradient's
+        # 10 x 8 pixels, padded to 14 x 8, are 112.  Every product must
+        # reach BLAS through _matmul, cut to _GEMM_DEPTH terms.
+        x, kernel, phi, up = self.make_case(2, 64, 64, 5, hw=(10, 8), seed=74)
+        folded = scale_kernel(kernel, phi)
+        want = conv2d_weighted(x, kernel, np.ones((5, 5)))
+        want_dx = grad_input(folded, up, x.shape[2:])
+        want_dw = grad_weights(x, phi, up).weights
+        seen = record_lowerings(monkeypatch)
+        depths = []
+        matmul = np.matmul
+
+        def recording(a, b, **kwargs):
+            depths.append(np.shape(a)[-1])
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", recording)
+        got = conv2d(x, kernel)
+        fused = grad_input(folded, up, x.shape[2:], x=x, density=phi)
+        monkeypatch.undo()
+        assert seen == ["rows", "rows"]
+        assert depths and max(depths) <= conv._GEMM_DEPTH
+        assert rel_err(got, want) < 1e-12
+        assert rel_err(fused.input, want_dx) < 1e-12
+        assert rel_err(fused.weights, want_dw) < 1e-12
+
+    # (filters, in_channels, K) of the kernels whose lowering is pinned: the
+    # desk's layers, criterion 8's single channel, ``bench``'s defaults (1
+    # and 3 filters on 3 channels) and wide-train's conv2.
+    @pytest.mark.parametrize("fout,cin,k,lowering", [
+        (2, 1, 3, "taps"), (2, 2, 3, "taps"), (1, 2, 3, "taps"),
+        (1, 1, 3, "taps"), (1, 1, 5, "taps"), (1, 1, 7, "taps"),
+        *[(f, 3, k, "taps") for f in (1, 3) for k in (3, 5, 7)],
+        (16, 16, 5, "rows")])
+    def test_lowering_depends_only_on_the_kernel_shape(self, fout, cin, k,
+                                                       lowering, monkeypatch):
+        x, kernel, phi, up = self.make_case(1, cin, fout, k, seed=75)
+        seen = record_lowerings(monkeypatch)
+        conv2d(x, kernel)
+        grad_input(kernel, up, x.shape[2:], x=x, density=phi)
+        # The weighted conv and grad_weights always gather taps.
+        conv2d_weighted(x, kernel, phi)
+        grad_weights(x, phi, up)
+        assert seen == [lowering, lowering, "taps", "taps"]
+
+
 class TestGemmWidth:
     """Criterion 8 times one 192 x 192 image; its products must be cut to
     ``_GEMM_WIDTH`` columns, where OpenBLAS runs them fast at any thread
