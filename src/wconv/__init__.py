@@ -19,8 +19,8 @@ from .experiments import (DatasetSpec, OuterResult, bench_overhead,
                           build_direct_config, compare_densities,
                           default_alpha_bounds, gen_dataset, optimize_density,
                           split_dataset, sweep_hyperparams)
-from .network import (BatchNorm2d, DenoiseNet, ModelConfig, TrainReport,
-                      kaiming_init, mse_loss, sgd_train)
+from .network import (BatchNorm2d, Dataset, DenoiseNet, ModelConfig,
+                      TrainReport, kaiming_init, mse_loss, sgd_train)
 from .spectral import (check_commutativity, check_convolution_theorem,
                        check_density_identity, check_density_identity_constant,
                        check_differentiability, check_young, circular_conv_fft,

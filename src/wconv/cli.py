@@ -29,7 +29,7 @@ from .experiments import (SWEEP_AXES, DatasetSpec, OuterResult, alpha_columns,
                           bench_overhead, build_direct_config,
                           compare_densities, gen_dataset, optimize_density,
                           result_columns, sweep_hyperparams)
-from .network import ModelConfig, sgd_train
+from .network import Dataset, ModelConfig, sgd_train
 from .spectral import run_verification
 from .tensors import tensor_read, tensor_write
 
@@ -275,7 +275,9 @@ def _read_image(path):
     return image
 
 
-def _load_data_dir(path):
+def _load_data_dir(path) -> Dataset:
+    """The ``noisy_*.wct`` images under ``path`` and their ``clean_*.wct``
+    counterparts, all of one shape, stacked in file-name order."""
     noisy_files = sorted(glob.glob(os.path.join(path, "noisy_*.wct")))
     if not noisy_files:
         raise FormatError(f"no noisy_*.wct files under {path}")
@@ -290,18 +292,18 @@ def _load_data_dir(path):
             if image.shape != shape:
                 raise FormatError(f"{name}: shape {image.shape} differs from "
                                   f"{shape} in {noisy_files[0]}")
-    return pairs
+    return Dataset.from_pairs(pairs)
 
 
 def _cmd_gen_data(args, config, seed, out_dir) -> int:
     spec = _dataset_spec(args, config, seed)
-    pairs = gen_dataset(spec)
-    for i, (noisy, clean) in enumerate(pairs):
+    dataset = gen_dataset(spec)
+    for i, (noisy, clean) in enumerate(dataset):
         tensor_write(noisy, os.path.join(out_dir, f"noisy_{i:03d}.wct"))
         tensor_write(clean, os.path.join(out_dir, f"clean_{i:03d}.wct"))
     _atomic_write(os.path.join(out_dir, "dataset.json"),
                   json.dumps(asdict(spec), indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(pairs)} image pairs to {out_dir}")
+    print(f"wrote {len(dataset)} image pairs to {out_dir}")
     return 0
 
 

@@ -69,7 +69,9 @@ stride 1 only), and the input gradient of a transposed conv is the strided
 conv of the upstream windows that its weight gradient gathers
 (``grad_weights`` given the kernel).  Every operator that training calls
 writes into a caller's array when given one (``out``), so a training step
-can reuse its buffers.
+can reuse its buffers.  ``conv2d`` and the transposed conv may write over
+their own input when it has the output's shape, which a loss-only pass
+does to hold one activation fewer; the fused ``grad_input`` may not.
 """
 
 from __future__ import annotations
@@ -409,7 +411,15 @@ def _forward(x, weights, density, bias, stride, out=None):
 
 def conv2d(x, kernel: KernelStack, stride: int = 1, *, out=None) -> np.ndarray:
     """Standard convolution; output (batch, filters, ceil(R/s), ceil(C/s)),
-    written into ``out`` when given."""
+    written into ``out`` when given.
+
+    ``out`` may be ``x`` itself (stride 1 and as many filters as input
+    channels), and the result is the same to the bit.  Both lowerings work
+    a chunk of images at a time and copy the chunk into a buffer of their
+    own before they write its outputs (``_columns`` gathers its columns,
+    ``_mec`` copies it into its row buffer), and no chunk's outputs depend
+    on another chunk's images, so every input image is read before its
+    output overwrites it."""
     x = _check_operand(x, kernel.in_channels, stride)
     _check_bias(kernel, kernel.filters)
     return _forward(x, kernel.weights, None, kernel.bias, stride, out)
@@ -529,6 +539,11 @@ def conv2d_transposed_weighted(y, kernel: KernelStack, upsample: int = 1, *,
     <conv(x), y> == <x, conv_T(y)> when the bias is absent.  A kernel with
     at least ``_FILTERS_FIRST_RATIO`` filters per input channel contracts
     its filters first (``_filters_first``); any other gathers per phase.
+
+    ``out`` may be ``y`` itself (upsample 1 and as many filters as input
+    channels), and the result is the same to the bit: such a kernel
+    gathers its one phase a chunk of images at a time, as ``conv2d`` does,
+    before it writes the chunk's outputs.
     """
     y = _check_operand(y, kernel.filters, upsample, step_name="upsample factor")
     _check_bias(kernel, kernel.in_channels)
@@ -601,7 +616,9 @@ def grad_input(kernel: KernelStack, upstream, input_hw=None, stride: int = 1,
     returns the ``WeightGrad`` that ``grad_weights(x, density, upstream)``
     would, equal up to rounding, with the input gradient as its ``input``:
     the weight gradient is ``x`` times the transposed upstream columns
-    that the input gradient gathers, so the pass gathers once.
+    that the input gradient gathers, so the pass gathers once.  ``out``
+    must not overlap ``x``: the row lowering copies ``x`` into its row
+    shifts after it writes a chunk's input gradient.
     """
     upstream = _check_operand(upstream, kernel.filters, stride, "upstream")
     if input_hw is None:

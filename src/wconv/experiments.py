@@ -26,7 +26,7 @@ from .density import (MAX_DENSITY_VALUE, DensityVector, density_from_free,
                       density_matrix, named_density)
 from .directl import DirectConfig, TraceRow, minimize
 from .errors import DivergenceError, SearchDivergedError
-from .network import ModelConfig, mse_loss, sgd_train
+from .network import Dataset, ModelConfig, mse_loss, sgd_train
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,9 @@ def _lowpass(grid: np.ndarray, cutoff: float) -> np.ndarray:
     return np.real(np.fft.ifft2(np.fft.fft2(grid) * gain))
 
 
-def gen_dataset(spec: DatasetSpec):
-    """Seeded (noisy, clean) image pairs.
+def gen_dataset(spec: DatasetSpec) -> Dataset:
+    """Seeded (noisy, clean) image pairs, written image by image into the
+    two stacked arrays of a ``Dataset``, which holds them once.
 
     Clean images are low-pass-filtered white noise rescaled to [0, 1];
     noisy ones add zero-mean Gaussian noise of the requested deviation,
@@ -80,23 +81,26 @@ def gen_dataset(spec: DatasetSpec):
     as 0.
     """
     rng = np.random.default_rng(spec.seed)
-    pairs = []
-    for _ in range(spec.n_images):
+    shape = (spec.n_images, 1, spec.rows, spec.cols)
+    data = Dataset(np.empty(shape), np.empty(shape))
+    for noisy, clean in data:
         smooth = _lowpass(rng.standard_normal((spec.rows, spec.cols)),
                           spec.smoothness)
         lo, hi = smooth.min(), smooth.max()
         if hi > lo:
-            clean = (smooth - lo) / (hi - lo)
+            np.subtract(smooth, lo, out=clean)
+            clean /= hi - lo
         elif smooth.size == 1:
-            clean = np.zeros_like(smooth)
+            clean[...] = 0.0
         else:
             raise ValueError(f"smoothness {spec.smoothness!r} is too small: the "
                              f"low-pass filter leaves {spec.rows}x{spec.cols} "
                              "images constant")
         with np.errstate(over="ignore"):
-            noisy = clean + rng.standard_normal(clean.shape) * spec.noise_sigma
-        pairs.append((np.clip(noisy, 0.0, 1.0), clean))
-    return pairs
+            np.add(clean, rng.standard_normal(clean.shape) * spec.noise_sigma,
+                   out=noisy)
+        np.clip(noisy, 0.0, 1.0, out=noisy)
+    return data
 
 
 @dataclass
@@ -152,7 +156,7 @@ def build_direct_config(k: int, max_evals: int = 60, max_iters: int = 40,
                         epsilon=epsilon)
 
 
-def _training_objective(dataset, model_cfg: ModelConfig):
+def _training_objective(dataset: Dataset, model_cfg: ModelConfig):
     """Final training loss as a function of the free density coefficients
     ``theta`` of a ``model_cfg.kernel``-tap density; NaN on divergence,
     which includes a run whose final loss is not below its initial loss.
@@ -199,7 +203,7 @@ def _free_count(model_cfg: ModelConfig, direct_cfg: DirectConfig) -> int:
 
 
 def optimize_density(model_cfg: ModelConfig, direct_cfg: DirectConfig,
-                     dataset) -> OuterResult:
+                     dataset: Dataset) -> OuterResult:
     """Nested optimization: derivative-free search over the coefficients
     of a ``model_cfg.kernel``-tap density, each evaluation a full SGD
     training run.
@@ -211,8 +215,6 @@ def optimize_density(model_cfg: ModelConfig, direct_cfg: DirectConfig,
     other training run.
     """
     n_free = _free_count(model_cfg, direct_cfg)
-    if len(dataset) == 0:
-        raise ValueError("dataset must be non-empty")
     res = minimize(_training_objective(dataset, model_cfg), direct_cfg,
                    init=np.ones(n_free))
     baseline = res.evals[0][1]
@@ -294,18 +296,19 @@ def sweep_hyperparams(axis: str, values, dataset_spec: DatasetSpec,
 HOLDOUT_FRACTION = 0.2
 
 
-def split_dataset(dataset, seed: int):
+def split_dataset(dataset: Dataset, seed: int) -> tuple[Dataset, Dataset]:
     """Deterministic train/holdout split of ``HOLDOUT_FRACTION`` of the
-    images; at least one image held out."""
+    images, at least one held out, each part a ``Dataset`` that copies its
+    images in the split's order."""
     n = len(dataset)
     order = np.random.default_rng([seed, 131]).permutation(n)
     n_hold = max(1, int(round(HOLDOUT_FRACTION * n)))
-    hold = [dataset[i] for i in order[:n_hold]]
-    train = [dataset[i] for i in order[n_hold:]]
-    return train, hold
+    hold, train = order[:n_hold], order[n_hold:]
+    return (Dataset(dataset.noisy[train], dataset.clean[train]),
+            Dataset(dataset.noisy[hold], dataset.clean[hold]))
 
 
-def compare_densities(families, model_cfg: ModelConfig, dataset,
+def compare_densities(families, model_cfg: ModelConfig, dataset: Dataset,
                       direct_cfg: DirectConfig
                       ) -> tuple[list[dict], OuterResult | None]:
     """Train the model once per density family under identical seeds.
@@ -329,14 +332,13 @@ def compare_densities(families, model_cfg: ModelConfig, dataset,
     train, hold = split_dataset(dataset, model_cfg.seed)
     search = (optimize_density(model_cfg, direct_cfg, train)
               if "optimal" in families else None)
-    hx = np.stack([p[0] for p in hold])[:, None, :, :]
-    ht = np.stack([p[1] for p in hold])[:, None, :, :]
     rows = []
     for family in families:
         vec = search.alpha if family == "optimal" else vectors[family]
         cfg = replace(model_cfg, density=density_matrix(vec))
         report = sgd_train(train, cfg)
-        holdout = mse_loss(report.model.forward(hx, keep=False), ht)
+        holdout = mse_loss(report.model.forward(hold.noisy, keep=False),
+                           hold.clean)
         rows.append({
             "family": family,
             "alpha": " ".join(repr(float(v)) for v in vec.values),

@@ -9,6 +9,11 @@ stochastic gradient descent on the mean squared error.  Each layer folds
 the density into its kernel once per step and runs the plain conv
 operators; no density folds as all ones, which changes no weight.
 
+The training set is held once, as a ``Dataset``: stacked (N, 1, rows,
+cols) noisy and clean arrays, which a full-batch step and every pass over
+the whole set read as they are, without a copy; a minibatch step copies
+its batch's rows.  No pass writes the network's input.
+
 Only a pass that a backward pass will read keeps activations.  A training
 step's forward pass (``keep=True``, the default) caches each conv's input
 and each batch norm's normalised input and rectified output, from which
@@ -18,11 +23,14 @@ per layer output shape, which hold the conv outputs and the backward
 pass's gradients, are carved out of one block when a batch shape first
 appears and reused while it holds.  A loss-only pass (``keep=False``: the
 trainer's final loss, a minibatch run's initial loss, a holdout score)
-drops that block, caches nothing and works in place on fresh arrays, so
-its memory is a few layer outputs rather than every layer's caches for
-the whole dataset.  A minibatch run's initial loss is computed only when
-it is read, on a fresh model initialised alike; a full-batch run takes
-it from its first step's forward pass.
+drops that block, caches nothing and works in place: batch norm and the
+ReLU overwrite each conv output, and a conv whose output has its input's
+shape (the c->c layer) writes it over that input, which no later
+operation reads.  Its memory is then one layer output plus a conv's chunk
+buffers, rather than every layer's caches for the whole dataset.  A
+minibatch run's initial loss is computed only when it is read, on a fresh
+model initialised alike; a full-batch run takes it from its first step's
+forward pass.
 """
 
 from __future__ import annotations
@@ -345,7 +353,10 @@ class DenoiseNet:
         nothing, drops the caches and buffers of earlier passes so that
         ``backward`` raises, and normalises and rectifies each conv output
         in place, so each layer's input is freed once the next conv has
-        read it.  The output is the same either way, to the bit.
+        read it.  A conv whose output shape is its input shape writes its
+        output over that input, unless the input is ``x``: the caller's
+        array is never written.  The output is the same either way, to the
+        bit.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 4 or x.shape[1] != 1:
@@ -360,7 +371,12 @@ class DenoiseNet:
             self._allocate(x.shape)
         h = x
         for conv, bn in self._layers:
-            out = self._buffer(conv.out_shape(h.shape)) if keep else None
+            shape = conv.out_shape(h.shape)
+            if keep:
+                out = self._buffer(shape)
+            else:
+                # conv2d and its transpose may write over their own input.
+                out = h if shape == h.shape and h is not x else None
             h = bn.forward(conv.forward(h, keep=keep, out=out), keep=keep)
             np.maximum(h, 0.0, out=h)
         return h
@@ -399,6 +415,42 @@ class DenoiseNet:
         return sum(p.size for p in self.params())
 
 
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """(noisy, clean) image pairs, held once: ``noisy`` and ``clean`` are
+    stacked (N, 1, rows, cols) float64 arrays, N >= 1, which training reads
+    without copying.  Iterating gives each image's (noisy, clean) pair as
+    (rows, cols) views of them."""
+
+    noisy: np.ndarray
+    clean: np.ndarray
+
+    def __post_init__(self):
+        noisy = np.asarray(self.noisy, dtype=np.float64)
+        clean = np.asarray(self.clean, dtype=np.float64)
+        if noisy.ndim != 4 or noisy.shape[1] != 1 or clean.shape != noisy.shape:
+            raise ShapeError(f"noisy and clean must both be (N, 1, rows, cols), "
+                             f"got {noisy.shape} and {clean.shape}")
+        if noisy.shape[0] == 0:
+            raise ValueError("dataset must be non-empty")
+        object.__setattr__(self, "noisy", noisy)
+        object.__setattr__(self, "clean", clean)
+
+    @classmethod
+    def from_pairs(cls, pairs) -> Dataset:
+        """The dataset of (noisy, clean) pairs of (rows, cols) images of one
+        shape, stacked in order."""
+        pairs = list(pairs)
+        return cls(np.stack([p[0] for p in pairs])[:, None],
+                   np.stack([p[1] for p in pairs])[:, None])
+
+    def __len__(self) -> int:
+        return self.noisy.shape[0]
+
+    def __iter__(self):
+        return zip(self.noisy[:, 0], self.clean[:, 0])
+
+
 @dataclass
 class TrainReport:
     """What a training run reports.  ``initial_loss``, the untrained
@@ -422,12 +474,6 @@ class TrainReport:
         return self._initial
 
 
-def _stack_pairs(dataset):
-    noisy = np.stack([np.asarray(p[0], dtype=np.float64) for p in dataset])
-    clean = np.stack([np.asarray(p[1], dtype=np.float64) for p in dataset])
-    return noisy[:, None, :, :], clean[:, None, :, :]
-
-
 # A diverging run overflows to inf and NaN inside a step; the non-finite
 # loss checks report the divergence, so numpy's warnings would only repeat
 # it from internal lines.
@@ -440,22 +486,25 @@ def _untrained_loss(cfg: ModelConfig, x, t) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def sgd_train(dataset, cfg: ModelConfig) -> TrainReport:
-    """Train the model on (noisy, clean) pairs; deterministic per seed.
+def sgd_train(dataset: Dataset, cfg: ModelConfig) -> TrainReport:
+    """Train the model on ``dataset``'s pairs; deterministic per seed.
 
     Runs epochs * ceil(N / batch) gradient steps of w <- w - lr * grad.
     The default batch size is the full set for N <= 32, otherwise 8 with
     a per-seed fixed shuffle.  A non-finite loss aborts with the epoch and
-    step in the exception.  Only training steps keep activations; the
-    final loss pass keeps none and drops the step buffers, so the
-    report's model holds neither.  The initial loss costs no pass of its
-    own at full batch, where the first step's forward pass gives it; a
-    minibatch run computes it only when ``report.initial_loss`` is read.
+    step in the exception.  Training reads the dataset's stacked arrays
+    without copying them and never writes them: a full-batch step and
+    every pass over the whole set take them as they are, and a minibatch
+    step copies its rows.  Only training steps keep activations; the
+    final loss pass keeps none, drops the step buffers (so the report's
+    model holds neither) and overwrites every same-shape layer's input
+    with its output, but never the dataset.  The initial loss costs no
+    pass of its own at full batch, where the first step's forward pass
+    gives it; a minibatch run computes it only when
+    ``report.initial_loss`` is read.
     """
-    if len(dataset) == 0:
-        raise ValueError("dataset must be non-empty")
-    x, t = _stack_pairs(dataset)
-    n = x.shape[0]
+    x, t = dataset.noisy, dataset.clean
+    n = len(dataset)
     batch = cfg.batch_size if cfg.batch_size is not None else (n if n <= 32 else 8)
     batch = min(batch, n)
     net = DenoiseNet(cfg)

@@ -28,21 +28,16 @@ def as_tensor(data) -> np.ndarray:
     return arr
 
 
-def tensor_write(tensor, path) -> None:
-    """Write a tensor to ``path`` in the WCT1 format."""
+def tensor_encode(tensor) -> bytes:
+    """The WCT1 bytes of a tensor."""
     arr = as_tensor(tensor)
     header = MAGIC + struct.pack("<B", arr.ndim)
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    payload = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
+    return header + np.ascontiguousarray(arr, dtype="<f8").tobytes()
 
 
-def tensor_read(path) -> np.ndarray:
-    """Read a WCT1 file back into a float64 array; round-trips bit-exactly."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+def tensor_decode(blob: bytes) -> np.ndarray:
+    """The float64 array that WCT1 bytes hold; round-trips bit-exactly."""
     if len(blob) < 5 or blob[:4] != MAGIC:
         raise FormatError("bad magic, not a WCT1 file")
     rank = blob[4]
@@ -65,3 +60,16 @@ def tensor_read(path) -> np.ndarray:
     if not np.all(np.isfinite(data)):
         raise FormatError("payload contains non-finite values")
     return data
+
+
+def tensor_write(tensor, path) -> None:
+    """Write a tensor to ``path`` in the WCT1 format."""
+    blob = tensor_encode(tensor)
+    with open(path, "wb") as fh:
+        fh.write(blob)
+
+
+def tensor_read(path) -> np.ndarray:
+    """Read a WCT1 file back into a float64 array; round-trips bit-exactly."""
+    with open(path, "rb") as fh:
+        return tensor_decode(fh.read())

@@ -482,11 +482,13 @@ class TestOptimizeDensity:
         assert "uniform baseline" in err and "usage:" not in err
 
     def test_outputs_do_not_depend_on_blas_threads(self, tmp_path):
-        # Every conv contracts its im2col columns in np.matmul.  At 16
-        # channels and K=5 the middle layer contracts 400 terms per output
-        # pixel over 32 x 32 pixels, enough for OpenBLAS to use two threads
-        # and longer than one of its blocks.  The paper's desk shape (c=2)
-        # runs on one BLAS thread at either setting.
+        # Every conv contracts in np.matmul, over 32 x 32 pixels here,
+        # enough for OpenBLAS to use two threads.  At 16 channels and K=5
+        # the middle layer lowers by rows: its forward products are C * K =
+        # 80 terms deep, and its weight gradient sums over the 36 x 32
+        # padded pixels, longer than one OpenBLAS block, in _GEMM_DEPTH
+        # blocks.  The paper's desk shape (c=2) runs on one BLAS thread at
+        # either setting.
         src = os.path.dirname(os.path.dirname(wconv.__file__))
         outs = []
         for threads in ("1", "2"):

@@ -895,6 +895,58 @@ class TestRowLowering:
         assert seen == [lowering, lowering, "taps", "taps"]
 
 
+class TestOutputOverInput:
+    """``conv2d`` and the transposed conv may take their input as ``out``:
+    each lowering copies a chunk of images into its own buffer before it
+    writes the chunk's outputs, so the result is the same to the bit."""
+
+    # 11 images in chunks of 3, 3, 3 and 2.
+    BATCH, CHUNK = 11, 3
+
+    @classmethod
+    def make_case(cls, channels, k, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((cls.BATCH, channels, 9, 7))
+        kernel = KernelStack(rng.standard_normal((channels, channels, k, k)),
+                             rng.standard_normal(channels))
+        return x, kernel
+
+    def chunked(self, monkeypatch):
+        chunks = []
+
+        def fixed(per_image_columns):
+            chunks.append(self.CHUNK)
+            return self.CHUNK
+
+        monkeypatch.setattr(conv, "_chunk", fixed)
+        return chunks
+
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("channels,lowering", [(2, "taps"), (3, "taps"),
+                                                   (4, "rows"), (8, "rows")])
+    def test_conv2d_out_may_be_x(self, channels, lowering, k, monkeypatch):
+        x, kernel = self.make_case(channels, k, seed=90 + channels)
+        want = conv2d(x, kernel)
+        chunks = self.chunked(monkeypatch)
+        seen = record_lowerings(monkeypatch)
+        assert conv2d(x, kernel, 1, out=x) is x
+        assert seen == [lowering] and chunks
+        np.testing.assert_array_equal(x, want)
+
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("channels", [1, 2, 4])
+    def test_transposed_out_may_be_y(self, channels, k, monkeypatch):
+        # As many filters as input channels: never the filters-first
+        # lowering, which needs 8 filters per channel.
+        y, kernel = self.make_case(channels, k, seed=95 + channels)
+        want = conv2d_transposed_weighted(y, kernel, 1)
+        chunks = self.chunked(monkeypatch)
+        seen = record_lowerings(monkeypatch)
+        assert conv2d_transposed_weighted(y, kernel, 1, out=y) is y
+        assert seen == ["taps"] and chunks
+        np.testing.assert_array_equal(y, want)
+
+
 class TestGemmWidth:
     """Criterion 8 times one 192 x 192 image; its products must be cut to
     ``_GEMM_WIDTH`` columns, where OpenBLAS runs them fast at any thread

@@ -8,8 +8,8 @@ from wconv import conv, network
 from wconv.conv import conv2d_transposed_weighted, conv2d_weighted, scale_kernel
 from wconv.density import density_matrix, named_density
 from wconv.errors import DegenerateBatchError, DivergenceError, ShapeError
-from wconv.network import (BatchNorm2d, DenoiseNet, ModelConfig, kaiming_init,
-                           mse_loss, sgd_train)
+from wconv.network import (BatchNorm2d, Dataset, DenoiseNet, ModelConfig,
+                           kaiming_init, mse_loss, sgd_train)
 
 
 class TestKaimingInit:
@@ -201,7 +201,7 @@ def tiny_dataset(n=4, size=16, sigma=0.05, seed=0):
     for _ in range(n):
         clean = rng.uniform(0.2, 0.8, (size, size))
         pairs.append((clean + rng.standard_normal((size, size)) * sigma, clean))
-    return pairs
+    return Dataset.from_pairs(pairs)
 
 
 class TestSgdTrain:
@@ -215,7 +215,7 @@ class TestSgdTrain:
         img = rng.uniform(0.0, 1.0, (16, 16))
         cfg = ModelConfig(channels=2, kernel=3, epochs=50, seed=0,
                           learning_rate=0.1)
-        report = sgd_train([(img, img)], cfg)
+        report = sgd_train(Dataset.from_pairs([(img, img)]), cfg)
         assert report.final_loss < 0.5 * report.initial_loss
         # trend check: late epochs sit well below early ones
         losses = report.epoch_losses
@@ -243,7 +243,7 @@ class TestSgdTrain:
         cfg = ModelConfig(channels=2, kernel=3, epochs=3)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError) as info:
-                sgd_train(pairs, cfg)
+                sgd_train(Dataset.from_pairs(pairs), cfg)
         assert info.value.epoch == 0 and info.value.step == 0
         assert "epoch 0" in str(info.value)
 
@@ -251,7 +251,8 @@ class TestSgdTrain:
         # lr * grad overflows some weights to inf while the loss is still
         # finite; the next step's density fold must leave them to the loss
         # check rather than reject them as invalid kernel weights.
-        data = [(noisy, 30.0 * clean) for noisy, clean in tiny_dataset(size=12)]
+        data = Dataset.from_pairs([(noisy, 30.0 * clean)
+                                   for noisy, clean in tiny_dataset(size=12)])
         phi = density_matrix(named_density("gaussian", 3))
         cfg = ModelConfig(channels=2, kernel=3, epochs=3, learning_rate=1.5e308,
                           density=phi)
@@ -261,7 +262,7 @@ class TestSgdTrain:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
-            sgd_train([], ModelConfig())
+            sgd_train(Dataset.from_pairs([]), ModelConfig())
 
     def test_report_fields(self):
         report = sgd_train(tiny_dataset(), ModelConfig(channels=2, kernel=3, epochs=2))
@@ -270,6 +271,59 @@ class TestSgdTrain:
         assert report.param_count == DenoiseNet(ModelConfig(channels=2)).param_count
         assert report.seconds > 0
         assert all(np.isfinite(v) and v >= 0 for v in report.epoch_losses)
+
+
+class TestDataset:
+    """The dataset is held once, as two stacked arrays that training reads
+    without copying and never writes."""
+
+    def test_from_pairs_stacks_in_order_and_iterates_views(self):
+        pairs = [(np.full((3, 2), float(i)), np.full((3, 2), -float(i)))
+                 for i in range(4)]
+        data = Dataset.from_pairs(pairs)
+        assert len(data) == 4
+        assert data.noisy.shape == data.clean.shape == (4, 1, 3, 2)
+        for i, (noisy, clean) in enumerate(data):
+            assert noisy.shape == (3, 2)
+            assert np.shares_memory(noisy, data.noisy)
+            assert np.shares_memory(clean, data.clean)
+            assert (noisy == i).all() and (clean == -i).all()
+
+    def test_shapes_are_checked(self):
+        with pytest.raises(ShapeError):
+            Dataset(np.zeros((2, 1, 4, 4)), np.zeros((2, 1, 4, 3)))
+        with pytest.raises(ShapeError):
+            Dataset(np.zeros((2, 2, 4, 4)), np.zeros((2, 2, 4, 4)))
+        with pytest.raises(ValueError, match="non-empty"):
+            Dataset(np.zeros((0, 1, 4, 4)), np.zeros((0, 1, 4, 4)))
+
+    # (channels, stride, batch size): at c = 1 and stride 1 conv1 has the
+    # same shape in and out, and must still not write the dataset.
+    CASES = [(2, 2, None), (2, 2, 2), (1, 1, None), (1, 1, 2)]
+
+    @pytest.mark.parametrize("channels,stride,batch_size", CASES)
+    def test_training_reads_the_dataset_without_copying_it(
+            self, channels, stride, batch_size, monkeypatch):
+        data = tiny_dataset(n=4, size=8, seed=7)
+        noisy, clean = data.noisy.tobytes(), data.clean.tobytes()
+        cfg = ModelConfig(channels=channels, stride=stride, kernel=3, epochs=2,
+                          batch_size=batch_size, seed=3)
+        inputs = []
+        forward = DenoiseNet.forward
+
+        def recorded(net, x, **kwargs):
+            inputs.append(x)
+            return forward(net, x, **kwargs)
+
+        monkeypatch.setattr(DenoiseNet, "forward", recorded)
+        report = sgd_train(data, cfg)
+        report.initial_loss  # a minibatch run's own pass over the whole set
+        whole = [x for x in inputs if len(x) == len(data)]
+        # Full batch: every step and the final pass; minibatch: the final
+        # and the initial pass.
+        assert len(whole) == (cfg.epochs + 1 if batch_size is None else 2)
+        assert all(x is data.noisy for x in whole)
+        assert data.noisy.tobytes() == noisy and data.clean.tobytes() == clean
 
 
 def reference_losses(dataset, cfg):
@@ -443,6 +497,55 @@ class TestLossOnlyPasses:
         bn.forward(h.copy(), keep=False)
         with pytest.raises(RuntimeError, match="keep=True"):
             bn.backward(h)
+
+    # (channels, stride) and whether each conv writes over its input: only
+    # a layer whose output has its input's shape, and never conv1, whose
+    # input is the caller's array.
+    IN_PLACE = [(1, 1, [False, True, True]), (2, 1, [False, True, False]),
+                (4, 2, [False, True, False])]
+
+    @pytest.mark.parametrize("channels,stride,in_place", IN_PLACE)
+    def test_same_shape_layers_write_over_their_input(self, channels, stride,
+                                                      in_place, monkeypatch):
+        net = gaussian_net(channels=channels, stride=stride)
+        x = np.random.default_rng(15).standard_normal((3, 1, 8, 8))
+        want = net.forward(x).copy()
+        seen = []
+        for name in ("conv2d", "conv2d_transposed_weighted"):
+            def recorded(h, kernel, step, *, out=None, _real=getattr(network, name)):
+                seen.append(out is h)
+                return _real(h, kernel, step, out=out)
+            monkeypatch.setattr(network, name, recorded)
+        np.testing.assert_array_equal(net.forward(x, keep=False), want)
+        assert seen == in_place
+
+    @pytest.mark.parametrize("channels,stride,in_place", IN_PLACE)
+    def test_caller_input_is_never_written(self, channels, stride, in_place):
+        net = gaussian_net(channels=channels, stride=stride)
+        x = np.random.default_rng(16).standard_normal((3, 1, 8, 8))
+        before = x.copy()
+        got = net.forward(x, keep=False)
+        assert got is not x
+        assert x.tobytes() == before.tobytes()
+
+    def test_loss_only_pass_holds_under_two_activations(self):
+        # conv2 (8 -> 8) writes over its input, so the pass holds one
+        # activation of (16, 8, 64, 64) and one conv's chunk buffers, a
+        # quarter of an activation each: about 1.4 activations.  A conv2
+        # output of its own makes about 2.4.  The caller's input is not
+        # counted.
+        net = DenoiseNet(ModelConfig(channels=8, kernel=3, seed=1))
+        x = np.random.default_rng(17).standard_normal((16, 1, 64, 64))
+        activation = 16 * 8 * 64 * 64 * 8
+        assert activation == 4 * conv._COLUMN_BYTES
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            net.forward(x, keep=False)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * activation
 
     @pytest.mark.parametrize("batch_size", [None, 2])
     def test_trained_model_holds_no_activations(self, batch_size):
