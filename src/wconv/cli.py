@@ -21,6 +21,8 @@ import sys
 import tempfile
 from dataclasses import asdict, replace
 
+import numpy as np
+
 from .density import (density_from_free, density_from_record,
                       density_matrix, density_record, named_density, FAMILIES)
 from .errors import (DegenerateBatchError, DivergenceError, FormatError,
@@ -277,22 +279,29 @@ def _read_image(path):
 
 def _load_data_dir(path) -> Dataset:
     """The ``noisy_*.wct`` images under ``path`` and their ``clean_*.wct``
-    counterparts, all of one shape, stacked in file-name order."""
+    counterparts, all of one shape, stacked in file-name order.  The
+    stacks are sized from the first file's shape and the file count, and
+    each image is copied into its slot as it is read, so the set is held
+    once."""
     noisy_files = sorted(glob.glob(os.path.join(path, "noisy_*.wct")))
     if not noisy_files:
         raise FormatError(f"no noisy_*.wct files under {path}")
-    pairs = []
-    for nf in noisy_files:
+    stacks = None
+    for i, nf in enumerate(noisy_files):
         cf = os.path.join(path, os.path.basename(nf).replace("noisy_", "clean_"))
         if not os.path.exists(cf):
             raise FormatError(f"missing clean counterpart for {nf}")
-        pairs.append((_read_image(nf), _read_image(cf)))
-        shape = pairs[0][0].shape
-        for name, image in zip((nf, cf), pairs[-1]):
+        for name, side in ((nf, 0), (cf, 1)):
+            image = _read_image(name)
+            if stacks is None:
+                stacks = [np.empty((len(noisy_files), 1) + image.shape)
+                          for _ in range(2)]
+            shape = stacks[0].shape[2:]
             if image.shape != shape:
                 raise FormatError(f"{name}: shape {image.shape} differs from "
                                   f"{shape} in {noisy_files[0]}")
-    return Dataset.from_pairs(pairs)
+            stacks[side][i, 0] = image
+    return Dataset(*stacks)
 
 
 def _cmd_gen_data(args, config, seed, out_dir) -> int:

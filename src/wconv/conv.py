@@ -71,7 +71,9 @@ conv of the upstream windows that its weight gradient gathers
 writes into a caller's array when given one (``out``), so a training step
 can reuse its buffers.  ``conv2d`` and the transposed conv may write over
 their own input when it has the output's shape, which a loss-only pass
-does to hold one activation fewer; the fused ``grad_input`` may not.
+does to hold one activation fewer, and ``grad_weights`` given the kernel
+may write its input gradient over its upstream, which a training step
+does; the fused ``grad_input`` may not write over its input.
 """
 
 from __future__ import annotations
@@ -369,19 +371,21 @@ def _contract(x, offsets, stride, ro, co, density=None, *, w2=None, out=None,
     ``out`` (batch, M, ro, co), which may be a strided view, is filled with
     the (M, depth) matrix ``w2`` times the columns, and with ``up``
     (batch, N, ro * co) the (N, depth) sum over images of ``up`` times the
-    transposed columns is returned, else None."""
+    transposed columns is returned, else None.  A chunk's rows of ``up``
+    are read before its rows of ``out`` are written, so ``out`` may be the
+    array that ``up`` reshapes."""
     depth = x.shape[1] * len(offsets[0]) * len(offsets[1])
     acc = None if up is None else np.zeros((up.shape[1], depth))
     for s0, col in _columns(x, offsets, stride, ro, co, density):
         n = col.shape[0]
+        if up is not None:
+            acc += _matmul(up[s0:s0 + n], col.transpose(0, 2, 1)).sum(axis=0)
         if w2 is not None:
             dst = out[s0:s0 + n]
             if dst.flags.c_contiguous:
                 _matmul(w2, col, dst.reshape(n, -1, ro * co))
             else:
                 dst[...] = _matmul(w2, col).reshape(n, -1, ro, co)
-        if up is not None:
-            acc += _matmul(up[s0:s0 + n], col.transpose(0, 2, 1)).sum(axis=0)
     return acc
 
 
@@ -581,7 +585,10 @@ def grad_weights(x, density, upstream, stride: int = 1, *,
     ``out`` when given), from the windows of ``x`` the weight gradient
     gathers: the input gradient of the transposed conv layer that maps
     ``upstream`` back to ``x``, whose weight gradient this is.  An input
-    gradient has no bias, so ``kernel.bias`` is ignored.
+    gradient has no bias, so ``kernel.bias`` is ignored.  ``out`` may be
+    ``upstream`` itself, and the result is the same to the bit: each chunk
+    of images reads its rows of the upstream before it writes its rows of
+    ``out``, and no chunk reads another chunk's rows.
     """
     x = _check_operand(x, None, stride)
     upstream = _check_operand(upstream, None, stride, "upstream")

@@ -320,7 +320,10 @@ def compare_densities(families, model_cfg: ModelConfig, dataset: Dataset,
     ``direct_cfg``'s box on that same split, searched before any family
     trains.  Returns the rows, each with the final training loss and the
     mean squared error on the held-out images, and the search's
-    ``OuterResult`` (``None`` when "optimal" is not asked for).  Fewer
+    ``OuterResult`` (``None`` when "optimal" is not asked for).  The
+    held-out images are scored in inference mode, with the batch norm
+    statistics of the training set (``DenoiseNet.infer``), so that no
+    image's score depends on the others held out.  Fewer
     than 2 images is a ``ValueError``, before any search or training: the
     held-out image would leave none to train on.
     """
@@ -337,8 +340,7 @@ def compare_densities(families, model_cfg: ModelConfig, dataset: Dataset,
         vec = search.alpha if family == "optimal" else vectors[family]
         cfg = replace(model_cfg, density=density_matrix(vec))
         report = sgd_train(train, cfg)
-        holdout = mse_loss(report.model.forward(hold.noisy, keep=False),
-                           hold.clean)
+        holdout = mse_loss(report.model.infer(hold.noisy), hold.clean)
         rows.append({
             "family": family,
             "alpha": " ".join(repr(float(v)) for v in vec.values),

@@ -17,20 +17,30 @@ its batch's rows.  No pass writes the network's input.
 Only a pass that a backward pass will read keeps activations.  A training
 step's forward pass (``keep=True``, the default) caches each conv's input
 and each batch norm's normalised input and rectified output, from which
-the backward pass reads the ReLU masks.  A training step allocates
-nothing large after the first: the kept arrays and two working arrays
-per layer output shape, which hold the conv outputs and the backward
-pass's gradients, are carved out of one block when a batch shape first
-appears and reused while it holds.  A loss-only pass (``keep=False``: the
-trainer's final loss, a minibatch run's initial loss, a holdout score)
-drops that block, caches nothing and works in place: batch norm and the
-ReLU overwrite each conv output, and a conv whose output has its input's
-shape (the c->c layer) writes it over that input, which no later
-operation reads.  Its memory is then one layer output plus a conv's chunk
-buffers, rather than every layer's caches for the whole dataset.  A
-minibatch run's initial loss is computed only when it is read, on a fresh
-model initialised alike; a full-batch run takes it from its first step's
-forward pass.
+the backward pass reads the ReLU masks.  A training step holds exactly
+what its backward pass reads, carved out of one block when a batch shape
+first appears and reused while it holds: per layer, batch norm's
+normalised input and rectified output, and one bool ReLU mask of conv3's
+input shape.  There are no working arrays.  Each conv writes its output
+into its batch norm's normalised input, which batch norm normalises in
+place, and the backward pass writes each operator's result over an array
+that is dead after it (Chen, Xu, Zhang & Guestrin, 2016, §3), so a step
+allocates nothing large after the first.  A loss-only pass (``keep=False``:
+the trainer's final loss, a minibatch run's initial loss) drops that
+block, caches nothing and works in place: batch norm and the ReLU
+overwrite each conv output, and a conv whose output has its input's shape
+(the c->c layer) writes it over that input, which no later operation
+reads.  Its memory is then one layer output plus a conv's chunk buffers,
+rather than every layer's caches for the whole dataset.  A minibatch
+run's initial loss is computed only when it is read, on a fresh model
+initialised alike; a full-batch run takes it from its first step's forward
+pass.
+
+Batch norm normalises with each batch's own statistics in training and
+in a loss-only pass, and stores them.  ``DenoiseNet.infer`` (a holdout
+score) normalises with the stored ones instead, which after training are
+those of the final loss pass over the whole training set, so an image's
+score does not depend on the images it is scored with.
 """
 
 from __future__ import annotations
@@ -131,7 +141,19 @@ def _channel_blocks(x) -> list[slice]:
 
 
 class BatchNorm2d:
-    """Per-channel normalisation over (batch, row, col), training statistics.
+    """Per-channel normalisation over (batch, row, col).
+
+    ``forward`` (training mode) normalises with the batch's own statistics
+    and stores them; ``infer`` (inference mode; Ioffe & Szegedy, 2015,
+    §3.1) normalises with the stored ones, so that each image's output
+    does not depend on the rest of its batch.  ``mean`` and ``var`` hold
+    the per-channel mean and variance of the last ``forward`` pass, None
+    before it.  The variance is the biased one, the mean square over the
+    pass's count m of samples per channel, with no m/(m-1) factor: the
+    statistics that ``infer`` is given are those of the whole training
+    set, from ``sgd_train``'s final loss pass, not an estimate averaged
+    over minibatches, and ``infer`` on that same set then gives the bits
+    of the pass.  (At the desk shape the factor would be 1 + 1.2e-5.)
 
     A ``keep=True`` pass writes the normalised input, which ``backward``
     reads, and the output into arrays the layer owns and reuses from one
@@ -145,6 +167,7 @@ class BatchNorm2d:
         self.beta = np.zeros(channels)
         self.grad_gamma = np.zeros(channels)
         self.grad_beta = np.zeros(channels)
+        self.mean = self.var = None
         self.release()
 
     def release(self) -> None:
@@ -152,13 +175,17 @@ class BatchNorm2d:
         self._xhat = self._inv_std = self._out = None
 
     def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
-        """``x`` normalised with its own batch statistics, then scaled and
-        shifted.  ``keep`` caches the normalised input for ``backward`` and
-        returns the layer's output array, which its next pass overwrites;
-        ``x`` is left as it is.  With ``keep=False`` nothing is kept, an
-        earlier pass's arrays are dropped, and ``x`` itself is overwritten
-        with the result and returned: the same operations in the same
-        order, so the same bits."""
+        """``x`` normalised with its own batch statistics, which are stored
+        in ``mean`` and ``var``, then scaled and shifted.  ``keep`` writes
+        the normalised input into the layer's ``_xhat`` for ``backward``
+        and returns the layer's output array, ``_out``; the next pass of
+        the same shape writes both again.  ``x`` may be ``_xhat`` itself (a
+        training step's conv writes its output there), and is then
+        normalised in place; any other ``x`` is left as it is.  With
+        ``keep=False`` nothing is kept, an earlier pass's arrays are
+        dropped, and ``x`` itself is overwritten with the result and
+        returned: the same operations in the same order, so the same
+        bits."""
         count = x.shape[0] * x.shape[2] * x.shape[3]
         if count < 2:
             raise DegenerateBatchError(
@@ -174,21 +201,49 @@ class BatchNorm2d:
         blocks = _channel_blocks(x)
         for c in blocks:
             np.subtract(x[:, c], mean[:, c], out=xhat[:, c])
-        var = np.einsum("bcij,bcij->c", xhat, xhat)[:, None, None] / count
-        inv_std = 1.0 / np.sqrt(var + self.EPS)
+        var = np.einsum("bcij,bcij->c", xhat, xhat) / count
+        self.mean, self.var = mean.ravel(), var
+        inv_std = 1.0 / np.sqrt(var[:, None, None] + self.EPS)
         if keep:
             self._xhat, self._inv_std = xhat, inv_std
+        self._scale_shift(xhat, out, inv_std, blocks)
+        return out
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """``x`` normalised with the stored ``mean`` and ``var``, then scaled
+        and shifted, overwritten with the result and returned; nothing is
+        kept.  Each element goes through the operations of ``forward``, in
+        the same order."""
+        if self.var is None:
+            raise RuntimeError("infer needs the statistics of a forward pass")
+        blocks = _channel_blocks(x)
+        mean = self.mean[None, :, None, None]
+        for c in blocks:
+            np.subtract(x[:, c], mean[:, c], out=x[:, c])
+        self._scale_shift(x, x, 1.0 / np.sqrt(self.var[:, None, None] + self.EPS),
+                          blocks)
+        return x
+
+    def _scale_shift(self, xhat, out, inv_std, blocks) -> None:
+        """``out = gamma * (xhat * inv_std) + beta``, where ``xhat`` is the
+        centred input; ``xhat`` is scaled in place, and ``out`` may be it."""
         gamma, beta = self.gamma[:, None, None], self.beta[:, None, None]
         for c in blocks:
             xc, oc = xhat[:, c], out[:, c]
             xc *= inv_std[c]
             np.multiply(xc, gamma[c], out=oc)
             oc += beta[c]
-        return out
 
     def backward(self, upstream: np.ndarray, out=None) -> np.ndarray:
         """The input gradient, written into ``out`` when given; fills the
-        parameter gradients."""
+        parameter gradients.
+
+        ``out`` may be the layer's own ``_xhat``, and the result is the same
+        to the bit: both reductions read ``_xhat`` before the loop, and in
+        each channel block the first write to ``out`` reads the block's
+        ``_xhat`` first.  ``_xhat`` then holds the gradient, so a second
+        ``backward`` needs a new forward pass.  ``out`` must not be
+        ``upstream``, which each block reads after its first write."""
         # With g = gamma * upstream, mean(g) = gamma * grad_beta / count and
         # mean(g * xhat) = gamma * grad_gamma / count, so the two parameter
         # gradients are the only reductions the input gradient needs.
@@ -305,79 +360,97 @@ class DenoiseNet:
         self.release()
 
     def release(self) -> None:
-        """Drop every cache and step buffer, so that ``backward`` raises."""
+        """Drop every cache and the step block, so that ``backward`` raises."""
         for conv, bn in self._layers:
             conv._x = None
             bn.release()
-        self._buffers = {}
-        self._shape = None
+        self._mask = self._shape = None
 
     def _allocate(self, shape) -> None:
-        """Carve the step buffers for inputs of ``shape`` out of one array:
-        each batch norm's normalised input and output, and two working
-        arrays per layer output shape.  A training then returns its buffers
-        to the allocator as one block, which the next training gets back
-        whole instead of faulting in fresh pages."""
+        """Carve what a training step holds for inputs of ``shape`` out of
+        one array: each batch norm's normalised input and rectified output,
+        and one bool ReLU mask of conv3's input shape, last.  Each conv
+        writes its output into its batch norm's normalised input, and the
+        backward pass writes each operator's result over an array that is
+        dead after it, so the step needs no working arrays.  A training
+        then returns its arrays to the allocator as one block, which the
+        next training gets back whole instead of faulting in fresh pages."""
         self.release()
         shapes, out = [], shape
         for conv, _ in self._layers:
             out = conv.out_shape(out)
             shapes.append(out)
-        work = list(dict.fromkeys(shapes))
-        parts = [s for s in shapes + work for _ in range(2)]
-        ends = np.cumsum([math.prod(s) for s in parts])
-        block = np.empty(ends[-1])
-        views = [block[end - math.prod(s):end].reshape(s) for s, end in zip(parts, ends)]
-        for i, (_, bn) in enumerate(self._layers):
-            bn._xhat, bn._out = views[2 * i], views[2 * i + 1]
-        kept = 2 * len(shapes)
-        self._buffers = {s: views[kept + 2 * i:kept + 2 * i + 2]
-                         for i, s in enumerate(work)}
+        sizes = [math.prod(s) for s in shapes]
+        floats = 2 * sum(sizes)
+        block = np.empty(8 * floats + sizes[1], dtype=np.uint8)
+        views = block[:8 * floats].view(np.float64)
+        start = 0
+        for (_, bn), s, size in zip(self._layers, shapes, sizes):
+            bn._xhat = views[start:start + size].reshape(s)
+            bn._out = views[start + size:start + 2 * size].reshape(s)
+            start += 2 * size
+        self._mask = block[8 * floats:].view(np.bool_).reshape(shapes[1])
         self._shape = shape
-
-    def _buffer(self, shape, avoid=None) -> np.ndarray:
-        """The working array of ``shape`` that is not ``avoid``: a conv
-        output is dead once batch norm has read it, and each backward
-        operator reads one working array and writes the other."""
-        pair = self._buffers[shape]
-        return pair[1] if pair[0] is avoid else pair[0]
 
     def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
         """The (batch, 1, rows, cols) output for a (batch, 1, rows, cols) input.
 
         ``keep`` (a training step) caches what ``backward`` reads: each
         conv's input and each batch norm's normalised input and rectified
-        output.  It writes every array into step buffers, which the next
-        pass of the same batch shape reuses, so the returned array is valid
-        until then.  A loss-only pass sets ``keep=False``: it caches
-        nothing, drops the caches and buffers of earlier passes so that
-        ``backward`` raises, and normalises and rectifies each conv output
-        in place, so each layer's input is freed once the next conv has
-        read it.  A conv whose output shape is its input shape writes its
-        output over that input, unless the input is ``x``: the caller's
-        array is never written.  The output is the same either way, to the
-        bit.
+        output.  Each conv writes its output into its batch norm's
+        normalised input, which batch norm normalises in place, and every
+        array lies in the step block, which the next pass of the same batch
+        shape reuses.  The returned array is the last rectified output, and
+        ``backward`` writes over it, so it is valid until the next
+        ``forward`` or ``backward``.  A loss-only pass sets ``keep=False``: it
+        caches nothing, drops the caches and the block of earlier passes so
+        that ``backward`` raises, and works in place (``_in_place``).  The
+        output is the same either way, to the bit.  Every pass stores each
+        batch norm's statistics, which ``infer`` reads.
         """
+        x = self._checked(x)
+        if not keep:
+            return self._in_place(x, lambda bn, h: bn.forward(h, keep=False))
+        if x.shape != self._shape:
+            self._allocate(x.shape)
+        h = x
+        for conv, bn in self._layers:
+            h = bn.forward(conv.forward(h, out=bn._xhat))
+            np.maximum(h, 0.0, out=h)
+        return h
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """The output for ``x`` in inference mode: each batch norm normalises
+        with the statistics that its last ``forward`` stored
+        (``BatchNorm2d.infer``), so no image's output depends on the other
+        images in ``x``.  After ``sgd_train`` these are the statistics of
+        its final loss pass, the training set's under the final weights.
+        Works in place as a loss-only pass does, and stores nothing."""
+        return self._in_place(self._checked(x), BatchNorm2d.infer)
+
+    def _checked(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 4 or x.shape[1] != 1:
             raise ShapeError(f"expected (batch, 1, rows, cols), got {x.shape}")
         s = self.cfg.stride
         if x.shape[2] % s or x.shape[3] % s:
             raise ShapeError(f"spatial dims {x.shape[2:]} not divisible by stride {s}")
-        if not keep:
-            # Free every earlier array before this pass allocates its own.
-            self.release()
-        elif x.shape != self._shape:
-            self._allocate(x.shape)
+        return x
+
+    def _in_place(self, x, normalise) -> np.ndarray:
+        """A pass that keeps nothing, with ``normalise(bn, h)`` for each
+        batch norm.  It first drops the caches and the block of earlier
+        passes, then normalises and rectifies each conv output in place, so
+        each layer's input is freed once the next conv has read it.  A conv
+        whose output shape is its input shape writes its output over that
+        input, unless the input is ``x``: the caller's array is never
+        written."""
+        self.release()
         h = x
         for conv, bn in self._layers:
-            shape = conv.out_shape(h.shape)
-            if keep:
-                out = self._buffer(shape)
-            else:
-                # conv2d and its transpose may write over their own input.
-                out = h if shape == h.shape and h is not x else None
-            h = bn.forward(conv.forward(h, keep=keep, out=out), keep=keep)
+            # conv2d and its transpose may write over their own input.
+            out = h if conv.out_shape(h.shape) == h.shape and h is not x else None
+            h = normalise(bn, conv.forward(h, keep=False, out=out))
             np.maximum(h, 0.0, out=h)
         return h
 
@@ -385,18 +458,31 @@ class DenoiseNet:
         """Fill every layer's parameter gradients from the loss gradient at
         the output, using the caches of the last ``forward``, which must
         have kept them; returns nothing.  Each ReLU's mask is read from the
-        rectified output that batch norm kept.  The gradient at the network
-        input is never computed: no caller reads it."""
-        h = _cached(self.bn3._out)
-        g = np.multiply(upstream, h > 0, out=self._buffer(h.shape))
-        g = self.bn3.backward(g, out=self._buffer(g.shape, g))
-        g = self.conv3.backward(g, out=self._buffer(self.conv3._x.shape, g))
-        g *= self.bn2._out > 0
-        g = self.bn2.backward(g, out=self._buffer(g.shape, g))
-        g = self.conv2.backward(g, out=self._buffer(self.conv2._x.shape, g))
-        g *= self.bn1._out > 0
-        g = self.bn1.backward(g, out=self._buffer(g.shape, g))
+        rectified output that batch norm kept.  Every operator writes its
+        result over an array that is dead after it: the output gradient
+        over the output, each batch norm's input gradient over its
+        normalised input, conv3's input gradient over its own input (after
+        its mask is taken) and conv2's over conv2's output, which is dead
+        once batch norm 2's gradient is made; ``upstream`` is not written.
+        So a backward pass consumes the caches: it drops each conv's input,
+        and a second ``backward`` raises until the next ``forward``.  The
+        gradient at the network input is never computed: no caller reads
+        it."""
+        h2 = _cached(self.conv3._x)  # batch norm 2's rectified output
+        out3 = self.bn3._out
+        g = np.multiply(upstream, out3 > 0, out=out3)
+        g = self.bn3.backward(g, out=self.bn3._xhat)
+        np.greater(h2, 0.0, out=self._mask)
+        g = self.conv3.backward(g, out=h2)
+        g *= self._mask
+        g = self.bn2.backward(g, out=self.bn2._xhat)
+        g = self.conv2.backward(g, out=h2)
+        np.greater(self.bn1._out, 0.0, out=self._mask)
+        g *= self._mask
+        g = self.bn1.backward(g, out=self.bn1._xhat)
         self.conv1.backward(g, input_grad=False)
+        for conv, _ in self._layers:
+            conv._x = None
 
     def params(self) -> list[np.ndarray]:
         out = []
@@ -496,12 +582,14 @@ def sgd_train(dataset: Dataset, cfg: ModelConfig) -> TrainReport:
     without copying them and never writes them: a full-batch step and
     every pass over the whole set take them as they are, and a minibatch
     step copies its rows.  Only training steps keep activations; the
-    final loss pass keeps none, drops the step buffers (so the report's
+    final loss pass keeps none, drops the step block (so the report's
     model holds neither) and overwrites every same-shape layer's input
-    with its output, but never the dataset.  The initial loss costs no
-    pass of its own at full batch, where the first step's forward pass
-    gives it; a minibatch run computes it only when
-    ``report.initial_loss`` is read.
+    with its output, but never the dataset.  That pass runs the whole set
+    through the final weights, so the report's model keeps each batch
+    norm's statistics of the training set, which ``DenoiseNet.infer``
+    normalises with.  The initial loss costs no pass of its own at full
+    batch, where the first step's forward pass gives it; a minibatch run
+    computes it only when ``report.initial_loss`` is read.
     """
     x, t = dataset.noisy, dataset.clean
     n = len(dataset)
@@ -517,7 +605,7 @@ def sgd_train(dataset: Dataset, cfg: ModelConfig) -> TrainReport:
     pred = net.forward(x) if full else None
     initial = mse_loss(pred, t) if full else partial(_untrained_loss, cfg, x, t)
     epoch_losses = []
-    diff = None  # pred - target, reused from step to step like the layers' buffers
+    diff = None  # pred - target, reused from step to step like the step block
     for epoch in range(cfg.epochs):
         order = None if full else shuffle_rng.permutation(n)
         total = 0.0
@@ -545,7 +633,8 @@ def sgd_train(dataset: Dataset, cfg: ModelConfig) -> TrainReport:
                 p -= cfg.learning_rate * g
         epoch_losses.append(total / n)
     diff = None
-    # A loss-only pass: it also drops the layers' step buffers.
+    # A loss-only pass: it also drops the step block, and it stores the
+    # statistics that DenoiseNet.infer reads.
     final = mse_loss(net.forward(x, keep=False), t)
     if not np.isfinite(final):
         raise DivergenceError(cfg.epochs, 0)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -361,6 +362,26 @@ class TestTrain:
                         str(data), name="trained")
         assert code == 0
         assert (out / "train_report.csv").exists()
+
+    def test_data_dir_is_held_once(self, tmp_path):
+        # The stacks are sized up front and each file is copied into its
+        # slot: the load holds the set and about one image file besides.
+        _, data = run(tmp_path, "gen-data", "--n-images", "48", "--rows", "64",
+                      "--cols", "64", name="data")
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loaded = cli._load_data_dir(str(data))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        held = loaded.noisy.nbytes + loaded.clean.nbytes
+        assert held == 2 * 48 * 64 * 64 * 8
+        assert peak < 1.2 * held
+        want = experiments.gen_dataset(experiments.DatasetSpec(
+            n_images=48, rows=64, cols=64))
+        assert loaded.noisy.tobytes() == want.noisy.tobytes()
+        assert loaded.clean.tobytes() == want.clean.tobytes()
 
     # Files that gen-data never writes, and the one each case must name.
     @pytest.mark.parametrize("shapes, named", [

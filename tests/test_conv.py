@@ -898,7 +898,9 @@ class TestRowLowering:
 class TestOutputOverInput:
     """``conv2d`` and the transposed conv may take their input as ``out``:
     each lowering copies a chunk of images into its own buffer before it
-    writes the chunk's outputs, so the result is the same to the bit."""
+    writes the chunk's outputs, so the result is the same to the bit.
+    ``grad_weights`` given the kernel may take its upstream as ``out``: each
+    chunk reads its upstream rows before it writes its output rows."""
 
     # 11 images in chunks of 3, 3, 3 and 2.
     BATCH, CHUNK = 11, 3
@@ -945,6 +947,23 @@ class TestOutputOverInput:
         assert conv2d_transposed_weighted(y, kernel, 1, out=y) is y
         assert seen == ["taps"] and chunks
         np.testing.assert_array_equal(y, want)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_grad_weights_out_may_be_upstream(self, stride, monkeypatch):
+        # A transposed conv layer's backward pass: the weight gradient
+        # against its input ``up``, and its input gradient written over
+        # ``up``, which nothing reads afterwards.
+        rng = np.random.default_rng(97 + stride)
+        x = rng.standard_normal((self.BATCH, 2, 10, 8))
+        up = rng.standard_normal((self.BATCH, 3, 10 // stride, 8 // stride))
+        kernel = KernelStack(rng.standard_normal((3, 2, 3, 3)))
+        density = density_matrix(np.array([0.5, 1.0, 0.75]))
+        chunks = self.chunked(monkeypatch)
+        want = grad_weights(x, density, up, stride, kernel=kernel)
+        got = grad_weights(x, density, up, stride, kernel=kernel, out=up)
+        assert got.input is up and chunks
+        np.testing.assert_array_equal(got.input, want.input)
+        np.testing.assert_array_equal(got.weights, want.weights)
 
 
 class TestGemmWidth:

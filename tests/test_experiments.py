@@ -9,7 +9,7 @@ from wconv.experiments import (DatasetSpec, bench_overhead,
                                default_alpha_bounds, gen_dataset,
                                optimize_density, split_dataset,
                                sweep_hyperparams)
-from wconv.network import ModelConfig, sgd_train
+from wconv.network import Dataset, ModelConfig, sgd_train
 from dataclasses import replace
 
 
@@ -278,6 +278,26 @@ class TestCompareDensities:
                                                           for _, t in hold]
         held_out = {x for pair in images(hold) for x in pair}
         assert not held_out & {x for pair in images(searched) for x in pair}
+
+    def test_an_images_score_does_not_depend_on_the_others_held_out(
+            self, monkeypatch):
+        # One training split, and holdouts of one image each and of all
+        # three: the images have one size, so the score of the three is the
+        # mean of their scores alone.  With batch statistics it is not.
+        data = gen_dataset(replace(TINY_SPEC, n_images=7))
+        train = Dataset(data.noisy[3:], data.clean[3:])
+
+        def score(held):
+            hold = Dataset(data.noisy[held], data.clean[held])
+            monkeypatch.setattr(experiments, "split_dataset",
+                                lambda dataset, seed: (train, hold))
+            rows, _ = compare_densities(["uniform"], TINY_MODEL, data,
+                                        tiny_direct())
+            return rows[0]["holdout_mse"]
+
+        alone = [score([i]) for i in range(3)]
+        assert len(set(alone)) == 3
+        assert score([0, 1, 2]) == pytest.approx(np.mean(alone), rel=1e-12)
 
     def test_unknown_family_rejected(self, monkeypatch):
         trainings = []

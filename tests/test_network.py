@@ -441,14 +441,13 @@ def gaussian_net(channels=3, stride=2, seed=4):
 
 def cached_arrays(net):
     """Every array the net holds for a backward pass, by name: the caches
-    and the step buffers."""
+    and the ReLU mask of the step block."""
     arrays = {}
     for i, (conv, bn) in enumerate([(net.conv1, net.bn1), (net.conv2, net.bn2),
                                     (net.conv3, net.bn3)], 1):
         arrays.update({f"conv{i}._x": conv._x, f"bn{i}._xhat": bn._xhat,
                        f"bn{i}._inv_std": bn._inv_std, f"bn{i}._out": bn._out})
-    for shape, pair in net._buffers.items():
-        arrays.update({f"buffer{shape}[{j}]": a for j, a in enumerate(pair)})
+    arrays["mask"] = net._mask
     return {name: a for name, a in arrays.items() if a is not None}
 
 
@@ -476,9 +475,8 @@ class TestLossOnlyPasses:
         x = np.random.default_rng(10).standard_normal((2, 1, 8, 8))
         net.forward(x)
         # Each conv's input; each batch norm's normalised input, inverse
-        # deviation and rectified output; two working arrays for each of
-        # the two layer output shapes.
-        assert len(cached_arrays(net)) == 3 + 3 * 3 + 2 * 2
+        # deviation and rectified output; one ReLU mask.
+        assert len(cached_arrays(net)) == 3 + 3 * 3 + 1
         net.forward(x, keep=False)
         assert cached_arrays(net) == {}
 
@@ -610,11 +608,75 @@ class TestStepBuffers:
         assert net.forward(2.0 * x) is first
         # One allocation holds every buffer of the step.
         bns = (net.bn1, net.bn2, net.bn3)
-        held = ([bn._xhat for bn in bns] + [bn._out for bn in bns]
-                + [a for pair in net._buffers.values() for a in pair])
+        held = [bn._xhat for bn in bns] + [bn._out for bn in bns] + [net._mask]
         assert all(a.base is first.base for a in held)
         again = net.forward(rng.standard_normal((3, 1, 8, 8)))
         assert again is not first and again.shape == (3, 1, 8, 8)
+
+    def test_step_block_holds_only_what_backward_reads(self):
+        net = gaussian_net()
+        x = np.random.default_rng(14).standard_normal((2, 1, 8, 8))
+        net.forward(x)
+        # Every array but the caller's input and the per-channel inverse
+        # deviations lies in one block: each batch norm's normalised input
+        # and rectified output, and the ReLU mask.
+        held = {name: a for name, a in cached_arrays(net).items()
+                if name != "conv1._x" and "_inv_std" not in name}
+        block = net.bn1._xhat.base
+        assert all(a.base is block for a in held.values())
+        assert net.conv1._x is x
+        bns = (net.bn1, net.bn2, net.bn3)
+        kept = sum(bn._xhat.nbytes + bn._out.nbytes for bn in bns)
+        assert net._mask.dtype == bool and net._mask.shape == net.conv3._x.shape
+        assert block.nbytes == kept + net._mask.nbytes
+
+    def test_a_second_backward_raises(self):
+        # A backward pass writes over the caches it reads.
+        net = gaussian_net()
+        x = np.random.default_rng(20).standard_normal((2, 1, 8, 8))
+        net.backward(mse_grad(net.forward(x), x))
+        with pytest.raises(RuntimeError, match="keep=True"):
+            net.backward(np.ones_like(x))
+        net.backward(mse_grad(net.forward(x), x))
+
+    def test_full_batch_desk_training_peaks_below_seven_activations(self):
+        # The step block holds six activations of (20, 2, 64, 64), two of
+        # them at half size, and a mask; with the trainer's difference, one
+        # column chunk and the gradients' temporaries a training peaks near
+        # 6.3.  Two working arrays per layer output shape made about 9.2.
+        data = tiny_dataset(n=20, size=64, seed=6)
+        cfg = ModelConfig(channels=2, kernel=3, epochs=2, seed=2)
+        activation = 20 * 2 * 64 * 64 * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sgd_train(data, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * activation
+
+    def test_batchnorm_backward_may_write_over_its_normalised_input(
+            self, monkeypatch):
+        # Both reductions read the normalised input before any write, and
+        # each channel block reads its own before it writes there.
+        rng = np.random.default_rng(18)
+        x = rng.standard_normal((3, 4, 6, 5))
+        up = rng.standard_normal(x.shape)
+        monkeypatch.setattr(network, "_CHANNEL_BLOCK_BYTES", x.nbytes // 2)
+        assert len(network._channel_blocks(x)) == 2
+
+        def run(over_xhat):
+            bn = BatchNorm2d(4)
+            bn.gamma[:] = [0.5, 2.0, -1.0, 1.5]
+            bn.forward(x)
+            out = bn._xhat if over_xhat else None
+            dx = bn.backward(up, out=out)
+            assert (dx is bn._xhat) == over_xhat
+            return dx, bn.grad_gamma, bn.grad_beta
+
+        for a, b in zip(run(False), run(True)):
+            np.testing.assert_array_equal(a, b)
 
     def test_channel_blocks_do_not_change_the_bits(self, monkeypatch):
         # Batch norm's elementwise passes run a block of channels at a time;
@@ -653,3 +715,45 @@ class TestModelConfigValidation:
     def test_density_shape_checked(self):
         with pytest.raises(ShapeError):
             ModelConfig(kernel=3, density=np.ones((5, 5)))
+
+
+class TestInference:
+    """``infer`` normalises with the statistics the last pass stored."""
+
+    def test_training_set_gives_the_final_loss_to_the_bit(self):
+        # The report's model holds the final loss pass's statistics, with
+        # no m/(m-1) factor, so inference on the training set repeats it.
+        data = tiny_dataset(n=6, seed=3)
+        for batch_size in (None, 4):
+            cfg = ModelConfig(channels=2, kernel=3, epochs=2, seed=1,
+                              batch_size=batch_size)
+            report = sgd_train(data, cfg)
+            pred = report.model.infer(data.noisy)
+            assert mse_loss(pred, data.clean) == report.final_loss
+
+    def test_an_images_output_does_not_depend_on_its_batch(self):
+        net = sgd_train(tiny_dataset(n=4), ModelConfig(
+            channels=2, kernel=3, epochs=2)).model
+        held = tiny_dataset(n=3, seed=9).noisy
+        together = net.infer(held)
+        for i in range(3):
+            np.testing.assert_allclose(net.infer(held[i:i + 1]),
+                                       together[i:i + 1], rtol=1e-13, atol=0)
+        # Training-mode statistics of a lone image differ.
+        alone = net.forward(held[:1], keep=False)
+        assert not np.allclose(alone, together[:1])
+
+    def test_keeps_nothing_and_leaves_the_input(self):
+        net = gaussian_net()
+        x = np.random.default_rng(19).standard_normal((2, 1, 8, 8))
+        with pytest.raises(RuntimeError, match="statistics"):
+            net.infer(x)
+        net.forward(x)
+        stats = [(bn.mean.copy(), bn.var.copy()) for bn in (net.bn1, net.bn2, net.bn3)]
+        before = x.copy()
+        net.infer(2.0 * x)
+        assert x.tobytes() == before.tobytes()
+        assert cached_arrays(net) == {}
+        for bn, (mean, var) in zip((net.bn1, net.bn2, net.bn3), stats):
+            np.testing.assert_array_equal(bn.mean, mean)
+            np.testing.assert_array_equal(bn.var, var)
