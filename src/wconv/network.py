@@ -79,8 +79,8 @@ class ModelConfig:
             raise ValueError(f"kernel extent must be odd, got {self.kernel}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if not 0 <= self.learning_rate < math.inf:
-            raise ValueError(f"learning_rate must be finite and >= 0, "
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, "
                              f"got {self.learning_rate}")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
@@ -521,14 +521,6 @@ class Dataset:
             raise ValueError("dataset must be non-empty")
         object.__setattr__(self, "noisy", noisy)
         object.__setattr__(self, "clean", clean)
-
-    @classmethod
-    def from_pairs(cls, pairs) -> Dataset:
-        """The dataset of (noisy, clean) pairs of (rows, cols) images of one
-        shape, stacked in order."""
-        pairs = list(pairs)
-        return cls(np.stack([p[0] for p in pairs])[:, None],
-                   np.stack([p[1] for p in pairs])[:, None])
 
     def __len__(self) -> int:
         return self.noisy.shape[0]

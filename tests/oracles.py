@@ -1,14 +1,15 @@
 """Brute-force reference implementations the fast paths are tested against.
 
-Everything here except ``mse_grad`` and ``grad_density`` is deliberately
-written as plain nested loops over scalar arithmetic, independent of the
-vectorized code under test.
+Everything here except ``mse_grad``, ``grad_density`` and
+``dataset_from_pairs`` is deliberately written as plain nested loops over
+scalar arithmetic, independent of the vectorized code under test.
 """
 
 import numpy as np
 
 from wconv.conv import grad_weights
 from wconv.errors import ShapeError
+from wconv.network import Dataset
 
 
 def conv_oracle(x, weights, bias=None, density=None, stride=1):
@@ -148,3 +149,11 @@ def grad_density(x, kernel, upstream, stride=1):
                          f"match the kernel {kernel.weights.shape}")
     plain = grad_weights(x, np.ones((kernel.k, kernel.k)), upstream, stride).weights
     return np.sum(plain * kernel.weights, axis=(0, 1))
+
+
+def dataset_from_pairs(pairs):
+    """The ``Dataset`` of (noisy, clean) pairs of (rows, cols) images of one
+    shape, stacked in order."""
+    pairs = list(pairs)
+    return Dataset(np.stack([p[0] for p in pairs])[:, None],
+                   np.stack([p[1] for p in pairs])[:, None])

@@ -59,6 +59,50 @@ def test_summary_compares_medians_and_counts_wins():
     assert got["work_per_s"]["change_wins"] == 1  # ties count for neither
 
 
+RUN_S = [{"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25}]
+
+
+def run_s_pairs(base, change):
+    def rec(value):
+        return {"metrics": {"run_s": {"value": value}}}
+    return {"base": [rec(v) for v in base], "change": [rec(v) for v in change]}
+
+
+def test_clear_win_shows_a_gain():
+    base = [1.0, 1.1, 0.9, 1.0, 1.05, 0.95, 1.0, 1.02, 0.98, 1.0]
+    got = ab.summarise(run_s_pairs(base, [0.7] * 10), RUN_S)["run_s"]
+    assert got["change_wins"] == 10
+    assert got["gain_shown"] is True and got["within_bound"] is True
+
+
+def test_win_inside_the_base_spread_shows_no_gain():
+    # the change wins every pair, but by 0.01, less than the base's
+    # quartile distance of 0.4
+    base = [0.8, 1.2] * 5
+    got = ab.summarise(run_s_pairs(base, [v - 0.01 for v in base]), RUN_S)["run_s"]
+    assert got["change_wins"] == 10 and got["base_quartile_distance"] == 0.4
+    assert got["gain_shown"] is False and got["within_bound"] is True
+
+
+def test_loss_beyond_the_bound():
+    base = [1.0] * 10
+    got = ab.summarise(run_s_pairs(base, [1.3] * 10), RUN_S)["run_s"]
+    assert got["change_wins"] == 0
+    assert got["gain_shown"] is False and got["within_bound"] is False
+    inside = ab.summarise(run_s_pairs(base, [1.2] * 10), RUN_S)["run_s"]
+    assert inside["within_bound"] is True
+
+
+def test_nine_of_ten_pairs_is_enough_but_fewer_pairs_are_not():
+    base = [1.0] * 10
+    got = ab.summarise(run_s_pairs(base, [0.5] * 9 + [1.5]), RUN_S)["run_s"]
+    assert got["change_wins"] == 9 and got["gain_shown"] is True
+    got = ab.summarise(run_s_pairs(base, [0.5] * 8 + [1.5] * 2), RUN_S)["run_s"]
+    assert got["gain_shown"] is False
+    got = ab.summarise(run_s_pairs(base[:9], [0.5] * 9), RUN_S)["run_s"]
+    assert got["change_wins"] == 9 and got["gain_shown"] is False
+
+
 def test_tier1_timing_runs_the_command_in_the_tree(tmp_path):
     # A stand-in for the suite: it prints pytest's closing line and shows
     # that the tree's src/ is importable.

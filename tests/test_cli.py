@@ -163,6 +163,28 @@ class TestUsageErrors:
         assert trainings == []
         assert not out.exists() or list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("command", [
+        ["train"], ["sweep", "--axis", "epochs", "--values", "1,2"]])
+    @pytest.mark.parametrize("value", [0.0, -0.0])
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    def test_zero_learning_rate_rejected_before_any_work(
+            self, tmp_path, capsys, monkeypatch, command, value, source):
+        trainings = count_trainings(monkeypatch)
+        monkeypatch.setattr(cli, "sgd_train", experiments.sgd_train)
+        argv = [*command, *MICRO_DATA, *MICRO_MODEL]
+        if source == "config":
+            cfg_file = tmp_path / "cfg.json"
+            cfg_file.write_text(json.dumps({"model": {"learning_rate": value}}))
+            argv = ["--config", str(cfg_file), *argv]
+        else:
+            argv += ["--lr", str(value)]
+        code, out = run(tmp_path, *argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "learning_rate must be finite and > 0" in err and "usage:" in err
+        assert trainings == []
+        assert not out.exists() or list(out.iterdir()) == []
+
     # 2 * smoothness**2 overflows, or underflows to zero, in float64.
     @pytest.mark.parametrize("smoothness", ["1e300", "1e-200"])
     def test_smoothness_out_of_float_range_rejected(self, tmp_path, capsys,
@@ -564,10 +586,10 @@ class TestSweep:
         assert list(out.iterdir()) == []
 
     def test_sweep_whose_every_search_diverges_fails(self, tmp_path, capsys):
-        # A learning rate of 0 never lowers the loss, so the uniform
-        # baseline's search diverges: the rows are written, then exit 1.
+        # A learning rate of 1e200 overflows, so the uniform baseline's
+        # search diverges: the rows are written, then exit 1.
         code, out = run(tmp_path, "sweep", "--axis", "epochs", "--values", "1",
-                        "--lr", "0", "--kernel", "3", "--n-images", "4",
+                        "--lr", "1e200", "--kernel", "3", "--n-images", "4",
                         "--rows", "8", "--cols", "8", "--max-evals", "3")
         assert code == 1
         assert "every search of the sweep failed" in capsys.readouterr().err

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import fd_gradient, mse_grad, rel_err
+from oracles import dataset_from_pairs, fd_gradient, mse_grad, rel_err
 from wconv import conv, network
 from wconv.conv import conv2d_transposed_weighted, conv2d_weighted, scale_kernel
 from wconv.density import density_matrix, named_density
@@ -201,21 +201,22 @@ def tiny_dataset(n=4, size=16, sigma=0.05, seed=0):
     for _ in range(n):
         clean = rng.uniform(0.2, 0.8, (size, size))
         pairs.append((clean + rng.standard_normal((size, size)) * sigma, clean))
-    return Dataset.from_pairs(pairs)
+    return dataset_from_pairs(pairs)
 
 
 class TestSgdTrain:
-    def test_zero_learning_rate_changes_nothing(self):
-        report = sgd_train(tiny_dataset(), ModelConfig(channels=2, kernel=3,
-                                                       epochs=3, learning_rate=0.0))
-        assert report.final_loss == report.initial_loss
+    def test_zero_learning_rate_rejected(self):
+        # a step of 0 can never lower the loss
+        for lr in (0.0, -0.0):
+            with pytest.raises(ValueError, match="learning_rate must be finite and > 0"):
+                ModelConfig(channels=2, kernel=3, epochs=3, learning_rate=lr)
 
     def test_identity_task_halves_loss(self):
         rng = np.random.default_rng(6)
         img = rng.uniform(0.0, 1.0, (16, 16))
         cfg = ModelConfig(channels=2, kernel=3, epochs=50, seed=0,
                           learning_rate=0.1)
-        report = sgd_train(Dataset.from_pairs([(img, img)]), cfg)
+        report = sgd_train(dataset_from_pairs([(img, img)]), cfg)
         assert report.final_loss < 0.5 * report.initial_loss
         # trend check: late epochs sit well below early ones
         losses = report.epoch_losses
@@ -243,7 +244,7 @@ class TestSgdTrain:
         cfg = ModelConfig(channels=2, kernel=3, epochs=3)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError) as info:
-                sgd_train(Dataset.from_pairs(pairs), cfg)
+                sgd_train(dataset_from_pairs(pairs), cfg)
         assert info.value.epoch == 0 and info.value.step == 0
         assert "epoch 0" in str(info.value)
 
@@ -251,8 +252,8 @@ class TestSgdTrain:
         # lr * grad overflows some weights to inf while the loss is still
         # finite; the next step's density fold must leave them to the loss
         # check rather than reject them as invalid kernel weights.
-        data = Dataset.from_pairs([(noisy, 30.0 * clean)
-                                   for noisy, clean in tiny_dataset(size=12)])
+        data = dataset_from_pairs([(noisy, 30.0 * clean)
+                                  for noisy, clean in tiny_dataset(size=12)])
         phi = density_matrix(named_density("gaussian", 3))
         cfg = ModelConfig(channels=2, kernel=3, epochs=3, learning_rate=1.5e308,
                           density=phi)
@@ -262,7 +263,7 @@ class TestSgdTrain:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
-            sgd_train(Dataset.from_pairs([]), ModelConfig())
+            sgd_train(dataset_from_pairs([]), ModelConfig())
 
     def test_report_fields(self):
         report = sgd_train(tiny_dataset(), ModelConfig(channels=2, kernel=3, epochs=2))
@@ -280,7 +281,7 @@ class TestDataset:
     def test_from_pairs_stacks_in_order_and_iterates_views(self):
         pairs = [(np.full((3, 2), float(i)), np.full((3, 2), -float(i)))
                  for i in range(4)]
-        data = Dataset.from_pairs(pairs)
+        data = dataset_from_pairs(pairs)
         assert len(data) == 4
         assert data.noisy.shape == data.clean.shape == (4, 1, 3, 2)
         for i, (noisy, clean) in enumerate(data):

@@ -87,6 +87,26 @@ class TestCircularWeightedConv:
             circular_weighted_conv(np.ones(8), np.ones(9), np.ones(8))
 
 
+class TestShifts:
+    """The circulant index of each size is built once and shared read-only."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_values_are_z_minus_y_mod_n(self, n):
+        np.testing.assert_array_equal(
+            spectral._shifts(n), np.subtract.outer(np.arange(n), np.arange(n)) % n)
+
+    def test_second_call_returns_the_same_read_only_array(self):
+        idx = spectral._shifts(7)
+        assert spectral._shifts(7) is idx
+        with pytest.raises(ValueError):
+            idx[0, 0] = 1
+
+    def test_run_verification_builds_each_size_once(self):
+        spectral._shifts.cache_clear()
+        run_verification(3, (8, 16), 10)
+        assert spectral._shifts.cache_info().misses == 2
+
+
 class TestConvolutionTheorem:
     def test_random_instance(self):
         f, g, phi = rand_signals(64, 4)
@@ -202,6 +222,23 @@ class TestRunVerification:
                          "fft_reduction"}
         assert all(r.passed for r in reports)
         assert all(r.instances > 0 for r in reports)
+
+    def test_records_are_the_recorded_golden_values(self):
+        # max_error and instances of each property, recorded before the
+        # circulant index was cached: the cached index must give the same
+        # gathers and products, bit for bit.
+        golden = {
+            "convolution_theorem": (6, "0x1.6a09e667f3bcdp-47"),
+            "commutativity": (6, "0x1.0000000000000p-49"),
+            "differentiability": (6, "0x1.069293101ae8ep-32"),
+            "density_identity_pointwise": (6, "0x1.0000000000000p-51"),
+            "density_identity_constant": (6, "0x1.0000000000000p-48"),
+            "young_inequality": (10, "0x0.0p+0"),
+            "fft_reduction": (6, "0x1.0000000000000p-48"),
+        }
+        got = {r.name: (r.instances, r.max_error.hex())
+               for r in run_verification(3, (8, 16), 10, seed=0)}
+        assert got == golden
 
     def test_records_do_not_depend_on_blas_threads(self):
         script = ("from wconv.spectral import run_verification; "

@@ -17,9 +17,11 @@ workloads named.
 
 Writes ``BENCH_<label>.json`` at the repo root: per workload, each side's
 median and quartiles of every end-to-end metric ``BENCHMARK.json`` lists,
-the change's median over the base's, the pairs the change won, and the
-environment ``run.py`` recorded.  It refuses to write the file if any
-environment field is null or the two sides' environments differ.  With
+the change's median over the base's, the pairs the change won, whether
+that shows a gain and whether the change stays within the metric's bound
+(see ``summarise``), and the environment ``run.py`` recorded.  It refuses
+to write the file if any environment field is null or the two sides'
+environments differ.  With
 ``--tier1`` it also times one run of the tier-1 test suite per side, base
 first, after the workloads, and records its wall time, its result line
 and the ids of the tests that failed or errored.
@@ -103,7 +105,14 @@ def environment(records: list[dict]) -> dict:
 
 def summarise(runs: dict[str, list[dict]], metrics: list[dict]) -> dict:
     """Compare the base and change result.json records of one workload's
-    pairs (``runs[side][i]`` is pair i) on every end-to-end metric."""
+    pairs (``runs[side][i]`` is pair i) on every end-to-end metric.
+
+    ``gain_shown``: at least ten pairs ran, the change won at least nine
+    tenths of them (ties count for neither), and its median beats the
+    base's by more than the base's quartile distance.  ``within_bound``:
+    the change's median is no worse than the base's by more than the
+    metric's ``bound``, a fraction of the base's median (None for a
+    metric that declares no bound)."""
     out = {}
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
@@ -111,12 +120,20 @@ def summarise(runs: dict[str, list[dict]], metrics: list[dict]) -> dict:
         change = [r["metrics"][name]["value"] for r in runs["change"]]
         b, c = quartiles(base), quartiles(change)
         wins = sum((cv < bv) if lower else (cv > bv) for bv, cv in zip(base, change))
+        spread = b["q3"] - b["q1"]
+        # how far the change's median is better than the base's (< 0: worse)
+        gain = b["median"] - c["median"] if lower else c["median"] - b["median"]
+        bound = m.get("bound")
         out[name] = {
             "unit": m["unit"], "base": b, "change": c,
             "change_over_base": round(c["median"] / b["median"], 4)
             if b["median"] else None,
             "change_wins": wins,
-            "base_quartile_distance": round(b["q3"] - b["q1"], 5),
+            "base_quartile_distance": round(spread, 5),
+            "gain_shown": len(base) >= 10 and 10 * wins >= 9 * len(base)
+            and gain > spread,
+            "within_bound": None if bound is None
+            else -gain <= bound * abs(b["median"]),
         }
     return out
 
@@ -271,7 +288,8 @@ def main(argv=None) -> int:
         for name, m in w["metrics"].items():
             print(f"{workload:<14} {name:<12} base {m['base']['median']:<10g} "
                   f"change {m['change']['median']:<10g} x{m['change_over_base']}  "
-                  f"wins {m['change_wins']}/{w['pairs']}")
+                  f"wins {m['change_wins']}/{w['pairs']}  "
+                  f"gain_shown {m['gain_shown']}  within_bound {m['within_bound']}")
     if tier1 is not None:
         for side, run in tier1.items():
             print(f"tier-1 {side:<6} {run['seconds']} s  {run['result']}")
